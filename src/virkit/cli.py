@@ -63,16 +63,6 @@ _MODULE_PARAM_FLAGS = ("a", "b", "bp", "c", "c1", "c2", "rho")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Echo of one parsed invocation; identical configs render identically."""
-
-    command: str
-    params: dict
-    output: str = "text"
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ReportDocument:
     version: str
     command: str

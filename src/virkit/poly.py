@@ -108,6 +108,10 @@ class MultiPoly:
                     used[i] = True
         return tuple(name for i, name in enumerate(ALPHABET) if used[i])
 
+    def constant_term(self) -> Fraction:
+        """Coefficient of the constant monomial; 0 when there is none."""
+        return self._terms.get(_ZERO_EXP, Fraction(0))
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial."""
         if not self._terms:
@@ -168,6 +172,15 @@ class MultiPoly:
         return _wrap(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other: Scalar) -> "MultiPoly":
+        """Division by a nonzero exact scalar; divide by polynomials with divrem."""
+        if isinstance(other, MultiPoly):
+            raise ValueError("cannot divide by a polynomial; use divrem")
+        other = _as_fraction(other)
+        if not other:
+            raise ValueError("division by zero")
+        return _wrap({e: c / other for e, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int):

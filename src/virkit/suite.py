@@ -158,14 +158,20 @@ def criterion_4(seed: int = 0) -> CriterionResult:
 _RHO_SAMPLE = (Fraction(0), Fraction(1), Fraction(2), HALF, Fraction(5, 7), Fraction(-3))
 
 
-def criterion_5(seed: int = 0) -> CriterionResult:
-    """Antisymmetry and Jacobi hold on window 6 across the algebra sample."""
+def algebra_sample() -> list:
+    """The 19 algebras criterion 5 checks."""
     algebras = [make_algebra("Vir"), make_algebra("SV", s=0), make_algebra("SV", s=HALF)]
     for rho in _RHO_SAMPLE:
         algebras.append(make_algebra("W", rho=rho, s=0))
         algebras.append(make_algebra("W", rho=rho, s=HALF))
         if rho not in (Fraction(0), Fraction(-3)):
             algebras.append(make_algebra("D", rho=rho))
+    return algebras
+
+
+def criterion_5(seed: int = 0) -> CriterionResult:
+    """Antisymmetry and Jacobi hold on window 6 across the algebra sample."""
+    algebras = algebra_sample()
     failures = []
     for alg in algebras:
         if not check_antisymmetry(alg, 6).passed or not check_jacobi(alg, 6).passed:
@@ -185,18 +191,21 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     )
 
 
+# (cocycle name, rho of its base algebra W(rho)[0]) for criterion 6
+COCYCLE_CHECKS = (
+    ("gamma0", Fraction(0)),
+    ("gamma01", Fraction(0)),
+    ("gamma02", Fraction(0)),
+    ("gamma0", Fraction(1)),
+    ("gamma11", Fraction(1)),
+)
+
+
 def criterion_6(seed: int = 0) -> CriterionResult:
     """The five admissible cocycles satisfy the 2-cocycle identity on window 8."""
-    checks = (
-        ("gamma0", Fraction(0)),
-        ("gamma01", Fraction(0)),
-        ("gamma02", Fraction(0)),
-        ("gamma0", Fraction(1)),
-        ("gamma11", Fraction(1)),
-    )
     outcomes = {}
     failures = []
-    for name, rho in checks:
+    for name, rho in COCYCLE_CHECKS:
         alg = make_algebra("W", rho=rho, s=0)
         report = check_cocycle(name, alg, 8)
         key = f"{name} on {alg.label()}"
@@ -232,13 +241,12 @@ def _defect_shape(violation, rho: Fraction, c: Fraction) -> bool:
     return violation.residual == WeightVector.basis(target, expected)
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
-    """Module axioms pass for random draws; the rho != 0 defect is exactly -m*rho*c."""
+def module_draws(seed: int = 0) -> tuple[list, list]:
+    """Criterion 7's modules: 40 random draws, then three twisted (module, rho, c)."""
     rng = random.Random(seed)
-    failures = []
-    draws = 0
+    draws = []
     for _ in range(10):
-        mods = [
+        draws += [
             make_module("Aab", a=_random_fraction(rng), b=_random_fraction(rng)),
             make_module("Aa", a=_random_fraction(rng)),
             make_module("Ba", a=_random_fraction(rng)),
@@ -250,17 +258,24 @@ def criterion_7(seed: int = 0) -> CriterionResult:
                 rho=0,
             ),
         ]
-        for mod in mods:
-            draws += 1
-            if not check_module_axiom(mod, 4).passed:
-                failures.append(mod.label())
-    defect_ok = True
-    defect_cases = []
+    twisted = []
     for rho in (Fraction(1), Fraction(2), Fraction(-1, 2)):
         c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
         mod = make_module(
             "Aabc", a=_random_fraction(rng), b=_random_fraction(rng), c=c, rho=rho
         )
+        twisted.append((mod, rho, c))
+    return draws, twisted
+
+
+def criterion_7(seed: int = 0) -> CriterionResult:
+    """Module axioms pass for random draws; the rho != 0 defect is exactly -m*rho*c."""
+    mods, twisted = module_draws(seed)
+    failures = [mod.label() for mod in mods if not check_module_axiom(mod, 4).passed]
+    draws = len(mods)
+    defect_ok = True
+    defect_cases = []
+    for mod, rho, c in twisted:
         report = check_module_axiom(mod, 4)
         shape = bool(report.violations) and all(
             _defect_shape(v, rho, c) for v in report.violations
@@ -285,15 +300,23 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     )
 
 
+def cyclicity_modules() -> tuple[list, list]:
+    """Criterion 8's modules: those with a pinned generator, then the simple grid."""
+    pinned = [make_module("Aab", a=0, b=0)]
+    pinned += [make_module("Ba", a=a) for a in (Fraction(3), Fraction(-2), HALF)]
+    a_values = (HALF, Fraction(1, 3), Fraction(-1, 2), Fraction(2, 7), Fraction(-5, 3))
+    b_values = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1), HALF)
+    grid = [make_module("Aab", a=a, b=b) for a in a_values for b in b_values]
+    return pinned, grid
+
+
 def criterion_8(seed: int = 0) -> CriterionResult:
     """Window cyclicity: pinned generators proper, simple parameters fully cyclic."""
     window = 6
     proper_ok = True
     proper_cases = []
-    checks = [("Aab", make_module("Aab", a=0, b=0))]
-    for a in (Fraction(3), Fraction(-2), HALF):
-        checks.append(("Ba", make_module("Ba", a=a)))
-    for kind, mod in checks:
+    pinned, grid = cyclicity_modules()
+    for mod in pinned:
         report = check_window_cyclic(mod, window)
         one_violation_at_zero = (
             len(report.violations) == 1
@@ -302,18 +325,14 @@ def criterion_8(seed: int = 0) -> CriterionResult:
         proper_cases.append({"module": mod.label(), "v0_proper": one_violation_at_zero})
         if not one_violation_at_zero:
             proper_ok = False
-    a_values = (HALF, Fraction(1, 3), Fraction(-1, 2), Fraction(2, 7), Fraction(-5, 3))
-    b_values = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1), HALF)
     grid_failures = []
     grid_points = 0
-    for a in a_values:
-        for b in b_values:
-            mod = make_module("Aab", a=a, b=b)
-            if not simplicity_criterion(mod):
-                raise ParameterError("cyclicity grid must consist of simple parameters")
-            grid_points += 1
-            if not check_window_cyclic(mod, window).passed:
-                grid_failures.append(mod.label())
+    for mod in grid:
+        if not simplicity_criterion(mod):
+            raise ParameterError("cyclicity grid must consist of simple parameters")
+        grid_points += 1
+        if not check_window_cyclic(mod, window).passed:
+            grid_failures.append(mod.label())
     passed = proper_ok and not grid_failures
     return CriterionResult(
         number=8,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -32,6 +33,20 @@ def test_jacobi_rejects_excluded_rho():
     code, text = run_capture(["jacobi", "--algebra", "W", "--rho", "-1", "--s", "0"])
     assert code == 2
     assert text.startswith("error:")
+
+
+def test_hostile_window_is_refused_at_once():
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "virkit", "jacobi", "--algebra", "Vir", "--window", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: window must be at most")
+    assert time.perf_counter() - start < 30
 
 
 def test_jacobi_json_is_byte_stable():

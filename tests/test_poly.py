@@ -202,6 +202,41 @@ def test_divrem_identity(x, d):
             assert not all(a >= b for a, b in zip(exps, d_exps))
 
 
+def test_scalar_division():
+    m, rho = V["m"], V["rho"]
+    assert m / 2 == Fraction(1, 2) * m
+    assert (m**3 - m) / 12 == parse_poly("(1/12)*m^3 + (-1/12)*m")
+    assert (rho + 1) / 2 * m == parse_poly("(1/2)*rho*m + (1/2)*m")
+    assert (m + 1) / Fraction(-2, 3) == Fraction(-3, 2) * m - Fraction(3, 2)
+    assert ZERO / 5 == ZERO
+
+
+def test_scalar_division_rejects_zero_and_polynomials():
+    m = V["m"]
+    for bad in (0, Fraction(0), m, ONE):
+        with pytest.raises(ValueError):
+            m / bad
+    with pytest.raises(ValueError):
+        m / 0.5
+    with pytest.raises(TypeError):
+        Fraction(1) / m
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), rationals)
+def test_scalar_division_inverts_multiplication(x, c):
+    if c == 0:
+        return
+    assert (x / c) * c == x
+    assert (x * c) / c == x
+
+
+def test_constant_term():
+    assert parse_poly("m^2 + (3/2)").constant_term() == Fraction(3, 2)
+    assert V["m"].constant_term() == 0
+    assert ZERO.constant_term() == 0
+
+
 # -- determinant ------------------------------------------------------------------
 
 
