@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import lcm
+from operator import mul
+from typing import Collection, Mapping
 
 from .errors import ParameterError
 from .golden import (
@@ -32,7 +34,7 @@ from .golden import (
     reference_delta3,
     reference_s0,
 )
-from .poly import MultiPoly, det3
+from .poly import _VAR_INDEX, MultiPoly, det3, univariate_gcd, univariate_value
 from .rationals import format_rational
 
 _A = MultiPoly.var("a")
@@ -48,11 +50,12 @@ HALF = Fraction(1, 2)
 
 HALF_RELATIONS = ("bp=b", "b+bp=1", "bp=b+1/2", "bp=b-1/2")
 
-_RELATION_TESTS = {
-    "bp=b": lambda b, bp: bp == b,
-    "b+bp=1": lambda b, bp: b + bp == 1,
-    "bp=b+1/2": lambda b, bp: bp == b + HALF,
-    "bp=b-1/2": lambda b, bp: bp == b - HALF,
+# Each s = 1/2 relation as the line b -> bp.
+_RELATION_LINES = {
+    "bp=b": lambda b: b,
+    "b+bp=1": lambda b: 1 - b,
+    "bp=b+1/2": lambda b: b + HALF,
+    "bp=b-1/2": lambda b: b - HALF,
 }
 
 _RELATION_RANK = {"bp=b": 0, "b+bp=1": 1, "bp=b+1/2": 2, "bp=b-1/2": 3, "b free": 0, "points": 9}
@@ -194,15 +197,14 @@ def _reduced_quotient() -> tuple[bool, MultiPoly]:
 def _quadratic_coefficients() -> tuple[bool, tuple[MultiPoly, MultiPoly, MultiPoly]]:
     """Extract (C1, C2, C3) with quotient = C1 m^2 + C2 (a+k) p + C3 p^2."""
     _, quotient = _reduced_quotient()
-    idx = {"a": 0, "b": 1, "bp": 2, "rho": 3, "p": 4, "k": 5, "m": 6, "n": 7, "c": 8}
     buckets: dict[tuple[int, int, int, int], dict[tuple[int, ...], Fraction]] = {}
     for exps, coeff in quotient.terms().items():
-        if exps[idx["n"]] or exps[idx["c"]]:
+        if exps[_VAR_INDEX["n"]] or exps[_VAR_INDEX["c"]]:
             return False, (MultiPoly.zero(),) * 3
-        outer = (exps[idx["a"]], exps[idx["p"]], exps[idx["k"]], exps[idx["m"]])
+        outer = tuple(exps[_VAR_INDEX[name]] for name in ("a", "p", "k", "m"))
         inner = list(exps)
         for name in ("a", "p", "k", "m"):
-            inner[idx[name]] = 0
+            inner[_VAR_INDEX[name]] = 0
         buckets.setdefault(outer, {})[tuple(inner)] = coeff
     allowed = {(0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 0)}
     if not set(buckets) <= allowed:
@@ -250,16 +252,25 @@ def specialize_s0() -> S0Certificate:
 # -- vanishing conditions -----------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
-def _vanishes_at(rho: Fraction, b: Fraction, bp: Fraction) -> bool:
-    """Is the determinant identically zero in (a, k, p, m) at these parameters?"""
-    point = {"b": b, "bp": bp, "rho": rho}
-    if linear_factor_1().evaluate(point) == 0 or linear_factor_2().evaluate(point) == 0:
-        return True
+def _coefficients() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(C1, C2, C3) of the quadratic form; vanishing cannot be tested without them."""
     shape_ok, coefficients = _quadratic_coefficients()
     if not shape_ok:
         raise ParameterError("quadratic shape extraction failed; cannot test vanishing")
-    return all(coeff.evaluate(point) == 0 for coeff in coefficients)
+    return coefficients
+
+
+@lru_cache(maxsize=65536)
+def _vanishes_at(rho: Fraction, b: Fraction, bp: Fraction) -> bool:
+    """Is the determinant identically zero in (a, k, p, m) at these parameters?
+
+    The point oracle: the scan decides whole grids with _vanishing_locus and
+    _diagonal_locus instead.
+    """
+    point = {"b": b, "bp": bp, "rho": rho}
+    if linear_factor_1().evaluate(point) == 0 or linear_factor_2().evaluate(point) == 0:
+        return True
+    return all(coeff.evaluate(point) == 0 for coeff in _coefficients())
 
 
 def condition_pair_holds(
@@ -273,10 +284,18 @@ def condition_pair_holds(
 # -- grid scan ------------------------------------------------------------------------
 
 
+# Largest accepted max_num and max_den.  The s = 1/2 scan takes about G^2
+# small gcds for G grid values; at 16/16 (G = 319) the CLI run takes about
+# 17 s on a 2-vCPU Xeon, and the cost grows as the fourth power of the bound.
+MAX_GRID_BOUND = 16
+
+
 def grid_values(max_num: int, max_den: int) -> list[Fraction]:
     """Reduced rationals with numerator and denominator within the bounds."""
     if max_num < 0 or max_den < 1:
         raise ParameterError("grid bounds must satisfy max_num >= 0 and max_den >= 1")
+    if max_num > MAX_GRID_BOUND or max_den > MAX_GRID_BOUND:
+        raise ParameterError(f"grid bounds must be at most {MAX_GRID_BOUND}")
     values = {
         Fraction(n, d)
         for n in range(-max_num, max_num + 1)
@@ -307,26 +326,63 @@ class ScanResult:
     hits: tuple
 
 
-@lru_cache(maxsize=4)
-def _s0_specialized_delta() -> MultiPoly:
-    return compute_delta().substitute({"bp": _B})
+def _rows_in_bp(poly: MultiPoly) -> list[list[int]]:
+    """A polynomial in (b, bp) as integer coefficient lists in b, one per power of bp.
+
+    The polynomial is scaled by the lcm of its denominators first, which keeps
+    its roots.
+    """
+    scale = lcm(*(coeff.denominator for coeff in poly.terms().values()))
+    rows = [[0] * (poly.degree_in("b") + 1) for _ in range(poly.degree_in("bp") + 1)]
+    for exps, coeff in poly.terms().items():
+        rows[exps[_VAR_INDEX["bp"]]][exps[_VAR_INDEX["b"]]] = int(coeff * scale)
+    return rows
 
 
-@lru_cache(maxsize=65536)
-def _s0_hit(rho: Fraction, b: Fraction) -> bool:
-    """Specialised determinant vanishes at every cube point, as a poly in a."""
-    poly = _s0_specialized_delta().substitute({"b": b, "rho": rho})
-    if poly.is_zero():
-        return True
-    for p in range(-3, 4):
-        if p == 0:
-            continue
-        for k in range(-3, 4):
-            for m in range(-3, 4):
-                value = poly.substitute({"p": p, "k": k, "m": m})
-                if not value.is_zero():
-                    return False
-    return True
+def _vanishing_locus(rho: Fraction, grid: list[Fraction]) -> set[tuple[Fraction, Fraction]]:
+    """Grid pairs (b, bp) at which the determinant vanishes identically.
+
+    That is L1 = 0, L2 = 0, or C1 = C2 = C3 = 0.  With rho and b fixed the
+    C's are univariate in bp, and their common roots are the roots of their gcd.
+    """
+    on_grid = set(grid)
+    specialized = [_rows_in_bp(c.substitute({"rho": rho})) for c in _coefficients()]
+    degree = max((len(row) for rows in specialized for row in rows), default=1) - 1
+    locus = set()
+    for b in grid:
+        # d^degree times each C at b = n/d, with integer coefficients in bp
+        n, d = b.numerator, b.denominator
+        powers = [n**i * d ** (degree - i) for i in range(degree + 1)]
+        common = univariate_gcd(
+            *([sum(map(mul, row, powers)) for row in rows] for rows in specialized)
+        )
+        if common != [1]:  # the zero gcd vanishes at every bp
+            locus.update((b, bp) for bp in grid if not univariate_value(common, bp))
+        for bp in (b - rho, b + 1 - rho):
+            if bp in on_grid:
+                locus.add((b, bp))
+    return locus
+
+
+def _diagonal_locus(rho: Fraction, grid: list[Fraction]) -> set[Fraction]:
+    """Grid values b at which the determinant vanishes identically with bp = b.
+
+    On the diagonal L1 = rho and L2 = 1 - rho, so rho in {0, 1} frees b;
+    otherwise the hits are the grid roots of gcd(C1, C2, C3) at bp = b.
+    """
+    if rho in (0, 1):
+        return set(grid)
+    # each C at bp = b is one row in b, or no row when it vanishes there
+    on_diagonal = [c.substitute({"rho": rho, "bp": _B}) for c in _coefficients()]
+    common = univariate_gcd(*(row for c in on_diagonal for row in _rows_in_bp(c)))
+    return {b for b in grid if not univariate_value(common, b)}
+
+
+def _line(relation: str, grid: Collection[Fraction]) -> set[tuple[Fraction, Fraction]]:
+    """Grid pairs on one s = 1/2 relation."""
+    on_grid = set(grid)
+    line = _RELATION_LINES[relation]
+    return {(b, line(b)) for b in grid if line(b) in on_grid}
 
 
 def enumerate_cases(s: Fraction | int, max_num: int, max_den: int) -> ScanResult:
@@ -338,16 +394,13 @@ def enumerate_cases(s: Fraction | int, max_num: int, max_den: int) -> ScanResult
     hits: list[tuple] = []
     if s == HALF:
         for rho in rho_grid:
-            rho_hits = {
-                (b, bp)
-                for b in grid
-                for bp in grid
-                if condition_pair_holds(rho, b, bp) == (True, True)
-            }
+            locus = _vanishing_locus(rho, grid)
+            # the vanishing condition must hold in both slope orders
+            rho_hits = {(b, bp) for (b, bp) in locus if (bp, b) in locus}
             hits.extend((rho, b, bp) for (b, bp) in sorted(rho_hits))
             covered: set[tuple[Fraction, Fraction]] = set()
             for relation in HALF_RELATIONS:
-                on_line = {(b, bp) for (b, bp) in _pairs(grid) if _RELATION_TESTS[relation](b, bp)}
+                on_line = _line(relation, grid)
                 if on_line and on_line <= rho_hits:
                     cases.append(
                         ClassificationCase(
@@ -370,7 +423,7 @@ def enumerate_cases(s: Fraction | int, max_num: int, max_den: int) -> ScanResult
                 )
     elif s == 0:
         for rho in rho_grid:
-            rho_hits = {b for b in grid if _s0_hit(rho, b)}
+            rho_hits = _diagonal_locus(rho, grid)
             hits.extend((rho, b) for b in sorted(rho_hits))
             if rho_hits == set(grid):
                 cases.append(
@@ -394,12 +447,6 @@ def enumerate_cases(s: Fraction | int, max_num: int, max_den: int) -> ScanResult
     return ScanResult(
         s=s, max_num=max_num, max_den=max_den, cases=tuple(cases), hits=tuple(hits)
     )
-
-
-def _pairs(grid: list[Fraction]):
-    for b in grid:
-        for bp in grid:
-            yield (b, bp)
 
 
 # -- comparison against the expected outcome ------------------------------------------
@@ -445,9 +492,7 @@ def compare_with_expected(result: ScanResult) -> dict[str, tuple[str, ...]]:
     matched, missing, outside = [], [], []
     for rho, relation in expected_families:
         if result.s == HALF:
-            in_bounds = rho in rho_grid and any(
-                _RELATION_TESTS[relation](b, bp) for (b, bp) in _pairs(sorted(grid))
-            )
+            in_bounds = rho in rho_grid and bool(_line(relation, grid))
         else:
             in_bounds = rho in rho_grid
         if not in_bounds:
@@ -480,7 +525,7 @@ def compare_with_expected(result: ScanResult) -> dict[str, tuple[str, ...]]:
                 continue
             if result.s == 0 and erel == "b free":
                 on_expected_family = True
-            elif result.s == HALF and _RELATION_TESTS[erel](*point):
+            elif result.s == HALF and point[1] == _RELATION_LINES[erel](point[0]):
                 on_expected_family = True
         if not on_expected_family:
             extra.append(_point_text(result.s, rho, point))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -238,25 +239,28 @@ class MultiPoly:
 
     def substitute(self, images: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Replace variables by polynomials (or scalars); others stay themselves."""
+        scalars: dict[int, Fraction] = {}
         repl: dict[int, MultiPoly] = {}
         for name, image in images.items():
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r}")
-            repl[_VAR_INDEX[name]] = image if isinstance(image, MultiPoly) else MultiPoly.const(image)
-        total = MultiPoly.zero()
+            if isinstance(image, MultiPoly):
+                repl[_VAR_INDEX[name]] = image
+            else:
+                scalars[_VAR_INDEX[name]] = _as_fraction(image)
+        total: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self._terms.items():
-            term = MultiPoly.const(coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in repl:
-                    term = term * repl[i] ** e
-                else:
-                    base = [0] * _NVARS
-                    base[i] = e
-                    term = term * MultiPoly({tuple(base): 1})
-            total = total + term
-        return total
+            kept = list(exps)
+            for i in (*scalars, *repl):
+                kept[i] = 0
+            for i, value in scalars.items():
+                coeff *= value ** exps[i]
+            term = _wrap({tuple(kept): coeff})
+            for i, image in repl.items():
+                term = term * image ** exps[i]
+            for e, c in term._terms.items():
+                total[e] = total.get(e, Fraction(0)) + c
+        return MultiPoly(total)
 
     # -- division ----------------------------------------------------------
 
@@ -324,6 +328,65 @@ def det3(matrix: Iterable[Iterable[MultiPoly]]) -> MultiPoly:
         - a01 * (a10 * a22 - a12 * a20)
         + a02 * (a10 * a21 - a11 * a20)
     )
+
+
+# -- dense univariate polynomials ---------------------------------------------
+#
+# A univariate polynomial is a list of coefficients from the constant term
+# up; the zero polynomial is the empty list.
+
+
+def univariate_value(coeffs: Sequence[Scalar], x: Scalar) -> Fraction:
+    """Exact value at x by Horner's rule."""
+    total = Fraction(0)
+    for coeff in reversed(coeffs):
+        total = total * x + coeff
+    return total
+
+
+def _primitive(coeffs: Iterable[Scalar]) -> list[int]:
+    """Integer multiple of the polynomial with coprime coefficients, trailing zeros dropped."""
+    ints = list(coeffs)
+    while ints and not ints[-1]:
+        ints.pop()
+    if not all(type(c) is int for c in ints):
+        fractions = [_as_fraction(c) for c in ints]
+        scale = lcm(*(c.denominator for c in fractions))
+        ints = [int(c * scale) for c in fractions]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
+    """Primitive part of the remainder of lc(g)^k * f on division by the nonzero g."""
+    r = list(f)
+    lead = g[-1]
+    while len(r) >= len(g):
+        q = r[-1]
+        shift = len(r) - len(g)
+        r = [c * lead for c in r]
+        for i, coeff in enumerate(g):
+            r[shift + i] -= q * coeff
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
+def univariate_gcd(*polys: Sequence[Scalar]) -> list[Fraction]:
+    """Monic greatest common divisor over Q, by Euclid's algorithm.
+
+    Works on primitive integer multiples, which have the same gcd over Q.
+    Trailing zero coefficients are ignored.  The gcd of zero polynomials only
+    (or of none) is zero, i.e. []; coprime inputs give [1].
+    """
+    g: list[int] = []
+    for poly in polys:
+        f = _primitive(poly)
+        while f:
+            g, f = f, _pseudo_rem(g, f)
+        if len(g) == 1:
+            return [Fraction(1)]
+    return [Fraction(c, g[-1]) for c in g]
 
 
 # -- canonical text form ----------------------------------------------------

@@ -153,6 +153,20 @@ def test_classify_rejects_unsupported_s():
     assert code == 2
 
 
+def test_hostile_grid_bound_is_refused_at_once():
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "virkit", "classify", "--s", "1/2", "--max-num", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: grid bounds must be at most")
+    assert time.perf_counter() - start < 30
+
+
 # -- module-check and cyclicity ----------------------------------------------------------------
 
 

@@ -14,6 +14,8 @@ from virkit.poly import (
     det3,
     parse_poly,
     poly_divrem,
+    univariate_gcd,
+    univariate_value,
 )
 
 V = {name: MultiPoly.var(name) for name in ALPHABET}
@@ -316,3 +318,68 @@ def test_leading_term_grlex():
     assert MultiPoly({exps: 1}) == V["b"]
     with pytest.raises(ValueError):
         ZERO.leading_term()
+
+
+# -- univariate gcd ------------------------------------------------------------
+
+F = Fraction
+
+
+def _times(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def test_univariate_gcd_finds_common_linear_factor():
+    factor = [F(-1, 2), F(1)]  # x - 1/2
+    f = _times(factor, [F(3), F(0), F(1)])  # (x - 1/2)(x^2 + 3)
+    g = _times([F(-2), F(2, 3)], [F(5), F(1)])  # (2/3)(x - 3) (x + 5)
+    h = _times([F(7), F(-14)], [F(1), F(1)])  # -14 (x - 1/2) (x + 1)
+    assert univariate_gcd(f, h) == factor
+    assert univariate_gcd(f, h, _times(factor, [F(4)])) == factor
+    assert univariate_gcd(f, g) == [F(1)]
+    assert univariate_value(f, F(1, 2)) == 0 and univariate_value(f, 0) == F(-3, 2)
+
+
+def test_univariate_gcd_coprime_inputs():
+    assert univariate_gcd([1, 0, 1], [-1, 1]) == [F(1)]  # x^2 + 1 and x - 1
+    assert univariate_gcd([0, 0, 1], [1, 1]) == [F(1)]
+    assert univariate_gcd([0, 0, 3], [0, 6]) == [F(0), F(1)]
+
+
+def test_univariate_gcd_zero_inputs():
+    assert univariate_gcd() == []
+    assert univariate_gcd([]) == []
+    assert univariate_gcd([0, 0], [F(0)]) == []
+    assert univariate_gcd([], [F(2), F(-4)]) == [F(-1, 2), F(1)]
+    assert univariate_gcd([F(2), F(-4), 0], []) == [F(-1, 2), F(1)]
+
+
+def test_univariate_gcd_constant_inputs():
+    assert univariate_gcd([5]) == [F(1)]
+    assert univariate_gcd([F(-1, 3)], [1, 2, 1]) == [F(1)]
+    assert univariate_gcd([1, 2, 1], [F(7)], []) == [F(1)]
+    assert univariate_gcd([], [0], [F(2)]) == [F(1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(rationals, min_size=1, max_size=3),
+    st.lists(rationals, min_size=1, max_size=3),
+    st.lists(rationals, min_size=1, max_size=3),
+)
+def test_univariate_gcd_is_a_monic_common_multiple_of_the_factor(common, f, g):
+    fc, gc = _times(common, f), _times(common, g)
+    result = univariate_gcd(fc, gc)
+    assert result == univariate_gcd(gc, fc)
+    if not any(fc) and not any(gc):
+        assert result == []
+        return
+    assert result[-1] == 1
+    # result divides both inputs, and the shared factor divides result
+    assert univariate_gcd(fc, result) == result == univariate_gcd(gc, result)
+    if any(common):
+        assert univariate_gcd(common, result) == univariate_gcd(common)

@@ -1,0 +1,85 @@
+"""Differential tests: the staged gcd scan against the point oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from virkit.classify import (
+    MAX_GRID_BOUND,
+    _diagonal_locus,
+    _vanishes_at,
+    _vanishing_locus,
+    condition_pair_holds,
+    enumerate_cases,
+    grid_values,
+)
+from virkit.errors import ParameterError
+
+F = Fraction
+HALF = F(1, 2)
+
+# enumerate_cases(0, 4, 4).hits as produced by the earlier per-point s = 0
+# scan (the specialised determinant tested on a p/k/m sample cube).
+S0_HITS_4_4 = (
+    (F(0), F(-4)), (F(0), F(-3)), (F(0), F(-2)), (F(0), F(-3, 2)), (F(0), F(-4, 3)),
+    (F(0), F(-1)), (F(0), F(-3, 4)), (F(0), F(-2, 3)), (F(0), F(-1, 2)),
+    (F(0), F(-1, 3)), (F(0), F(-1, 4)), (F(0), F(0)), (F(0), F(1, 4)), (F(0), F(1, 3)),
+    (F(0), F(1, 2)), (F(0), F(2, 3)), (F(0), F(3, 4)), (F(0), F(1)), (F(0), F(4, 3)),
+    (F(0), F(3, 2)), (F(0), F(2)), (F(0), F(3)), (F(0), F(4)), (F(1), F(-4)),
+    (F(1), F(-3)), (F(1), F(-2)), (F(1), F(-3, 2)), (F(1), F(-4, 3)), (F(1), F(-1)),
+    (F(1), F(-3, 4)), (F(1), F(-2, 3)), (F(1), F(-1, 2)), (F(1), F(-1, 3)),
+    (F(1), F(-1, 4)), (F(1), F(0)), (F(1), F(1, 4)), (F(1), F(1, 3)), (F(1), F(1, 2)),
+    (F(1), F(2, 3)), (F(1), F(3, 4)), (F(1), F(1)), (F(1), F(4, 3)), (F(1), F(3, 2)),
+    (F(1), F(2)), (F(1), F(3)), (F(1), F(4)), (F(2), F(0)), (F(2), F(1)),
+)
+
+
+def _rho_grid(grid):
+    return [rho for rho in grid if rho != -1]
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_half_scan_hits_equal_brute_force(bound):
+    grid = grid_values(bound, bound)
+    expected = tuple(
+        (rho, b, bp)
+        for rho in _rho_grid(grid)
+        for b in grid
+        for bp in grid
+        if condition_pair_holds(rho, b, bp) == (True, True)
+    )
+    assert enumerate_cases(HALF, bound, bound).hits == expected
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_s0_scan_hits_equal_brute_force(bound):
+    grid = grid_values(bound, bound)
+    expected = tuple(
+        (rho, b) for rho in _rho_grid(grid) for b in grid if _vanishes_at(rho, b, b)
+    )
+    assert enumerate_cases(0, bound, bound).hits == expected
+
+
+def test_s0_scan_hits_are_frozen():
+    assert enumerate_cases(0, 4, 4).hits == S0_HITS_4_4
+
+
+quarters = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=quarters, b=quarters, bp=quarters)
+def test_staged_membership_equals_point_oracle(rho, b, bp):
+    locus = _vanishing_locus(rho, sorted({b, bp}))
+    assert ((b, bp) in locus, (bp, b) in locus) == condition_pair_holds(rho, b, bp)
+    assert (b in _diagonal_locus(rho, [b])) == _vanishes_at(rho, b, b)
+
+
+def test_grid_bound_is_enforced():
+    assert len(grid_values(MAX_GRID_BOUND, 1)) == 2 * MAX_GRID_BOUND + 1
+    with pytest.raises(ParameterError):
+        grid_values(MAX_GRID_BOUND + 1, 1)
+    with pytest.raises(ParameterError):
+        grid_values(1, MAX_GRID_BOUND + 1)
