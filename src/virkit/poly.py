@@ -14,6 +14,7 @@ order and is bit-exact, so polynomial identities can be frozen as text.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -161,16 +162,20 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-        return _wrap(out)
+        if not self._terms or not other._terms:
+            return _wrap({})
+        # Exponent sums stay below 2**width, so adding packed keys never carries.
+        top = max(map(max, self._terms)) + max(map(max, other._terms))
+        width = top.bit_length() or 1
+        xs, dx = _pack(self._terms, width)
+        ys, dy = _pack(other._terms, width)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for kx, cx in xs:
+            for ky, cy in ys:
+                key = kx + ky
+                acc[key] = get(key, 0) + cx * cy
+        return _wrap(_unpack(acc, width, dx * dy))
 
     __rmul__ = __mul__
 
@@ -194,8 +199,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -248,6 +254,7 @@ class MultiPoly:
                 repl[_VAR_INDEX[name]] = image
             else:
                 scalars[_VAR_INDEX[name]] = _as_fraction(image)
+        powers: dict[tuple[int, int], MultiPoly] = {}
         total: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self._terms.items():
             kept = list(exps)
@@ -257,7 +264,10 @@ class MultiPoly:
                 coeff *= value ** exps[i]
             term = _wrap({tuple(kept): coeff})
             for i, image in repl.items():
-                term = term * image ** exps[i]
+                key = (i, exps[i])
+                if key not in powers:
+                    powers[key] = image ** exps[i]
+                term = term * powers[key]
             for e, c in term._terms.items():
                 total[e] = total.get(e, Fraction(0)) + c
         return MultiPoly(total)
@@ -273,21 +283,27 @@ class MultiPoly:
         if not isinstance(divisor, MultiPoly) or divisor.is_zero():
             raise ValueError("division by the zero polynomial")
         d_exps, d_coeff = divisor.leading_term()
+        tail = [(e, c) for e, c in divisor._terms.items() if e != d_exps]
         quotient: dict[tuple[int, ...], Fraction] = {}
         remainder: dict[tuple[int, ...], Fraction] = {}
         work = dict(self._terms)
-        while work:
-            exps = max(work, key=_grlex_key)
-            coeff = work.pop(exps)
+        # Every monomial in work is in the grlex-ascending queue, so pop()
+        # takes the leading term; entries whose monomial cancelled are stale.
+        queue = sorted(work, key=_grlex_key)
+        while queue:
+            exps = queue.pop()
+            coeff = work.pop(exps, None)
+            if coeff is None:
+                continue
             if all(x >= y for x, y in zip(exps, d_exps)):
                 t_exps = tuple(x - y for x, y in zip(exps, d_exps))
                 t_coeff = coeff / d_coeff
-                quotient[t_exps] = quotient.get(t_exps, Fraction(0)) + t_coeff
-                # subtract t * divisor from the tail
-                for e2, c2 in divisor._terms.items():
-                    if e2 == d_exps:
-                        continue
+                quotient[t_exps] = t_coeff
+                # subtract t * divisor from the tail; every product is below exps
+                for e2, c2 in tail:
                     prod = tuple(x + y for x, y in zip(t_exps, e2))
+                    if prod not in work:
+                        insort(queue, prod, key=_grlex_key)
                     acc = work.get(prod, Fraction(0)) - t_coeff * c2
                     if acc:
                         work[prod] = acc
@@ -311,6 +327,36 @@ def _coerce(value: object) -> MultiPoly:
     if isinstance(value, (int, Fraction)):
         return MultiPoly.const(value)
     return NotImplemented
+
+
+# -- packed integer products ----------------------------------------------------
+#
+# A product packs each exponent tuple into one int of _NVARS slots of `width`
+# bits, `a` in the most significant slot, and each operand's coefficients into
+# integer numerators over one common denominator.
+
+
+def _pack(terms: Mapping[tuple[int, ...], Fraction], width: int) -> tuple[list, int]:
+    """([(packed exponents, numerator)], common denominator)."""
+    den = lcm(*(coeff.denominator for coeff in terms.values()))
+    packed = []
+    for exps, coeff in terms.items():
+        key = 0
+        for e in exps:
+            key = (key << width) | e
+        packed.append((key, coeff.numerator * (den // coeff.denominator)))
+    return packed, den
+
+
+def _unpack(acc: Mapping[int, int], width: int, den: int) -> dict[tuple[int, ...], Fraction]:
+    """Inverse of _pack over one denominator, dropping zero coefficients."""
+    mask = (1 << width) - 1
+    shifts = range(width * (_NVARS - 1), -1, -width)
+    return {
+        tuple([key >> shift & mask for shift in shifts]): Fraction(num, den)
+        for key, num in acc.items()
+        if num
+    }
 
 
 def poly_divrem(x: MultiPoly, d: MultiPoly) -> tuple[MultiPoly, MultiPoly]:

@@ -9,6 +9,10 @@ from .errors import ParameterError
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
+# Longest accepted numerator or denominator, in decimal digits.  Far above any
+# parameter the paper needs, and below the interpreter's int() digit limit.
+MAX_RATIONAL_DIGITS = 1000
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "3", "-3", or "3/4"; anything else is a ParameterError."""
@@ -16,6 +20,12 @@ def parse_rational(text: str) -> Fraction:
     if not match:
         raise ParameterError(f"malformed rational {text!r}; expected int or int/int")
     num, den = match.groups()
+    for digits in (num, den or ""):
+        if len(digits.lstrip("-")) > MAX_RATIONAL_DIGITS:
+            raise ParameterError(
+                f"rational with more than {MAX_RATIONAL_DIGITS} digits "
+                "in its numerator or denominator"
+            )
     if den is not None and int(den) == 0:
         raise ParameterError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den) if den is not None else 1)

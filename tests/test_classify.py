@@ -1,5 +1,6 @@
 """Tests for the compatibility system, its determinant, and the scan."""
 
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -157,8 +158,35 @@ def test_row_symmetry_under_window_reflection():
 # -- determinant and factorisation ---------------------------------------------------
 
 
+# sha256 of canonical_string(compute_delta()) as computed with the Fraction
+# schoolbook product, before products moved to packed integer keys
+DELTA_SHA256 = "b531e2beaf1a796960325c84d63f5b7f3cc337ff8a478a07c5905b813f112950"
+
+
 def test_delta_matches_frozen_value():
-    assert canonical_string(compute_delta()) == (DATA_DIR / "delta.txt").read_text().strip()
+    delta = compute_delta()
+    text = canonical_string(delta)
+    assert text == (DATA_DIR / "delta.txt").read_text().strip()
+    assert len(delta.terms()) == 187
+    assert hashlib.sha256(text.encode()).hexdigest() == DELTA_SHA256
+
+
+def test_delta_matches_numeric_determinant_of_the_system():
+    # independent oracle: evaluate the nine entries first, then take a plain
+    # 3x3 Fraction determinant, so no polynomial product is involved
+    rng = random.Random(20261018)
+    rows = build_linear_system()
+    delta = compute_delta()
+    for _ in range(60):
+        point = random_point(rng)
+        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = [
+            [entry.evaluate(point) for entry in row] for row in rows
+        ]
+        numeric = (
+            x00 * x11 * x22 + x01 * x12 * x20 + x02 * x10 * x21
+            - x02 * x11 * x20 - x00 * x12 * x21 - x01 * x10 * x22
+        )
+        assert delta.evaluate(point) == numeric
 
 
 def test_delta_vanishes_on_linear_factor_loci():

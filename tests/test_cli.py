@@ -49,6 +49,20 @@ def test_hostile_window_is_refused_at_once():
     assert time.perf_counter() - start < 30
 
 
+def test_huge_rational_is_a_parameter_error():
+    # 5000 digits is past int()'s default digit limit as well as the bound
+    result = subprocess.run(
+        [sys.executable, "-m", "virkit", "jacobi", "--algebra", "W", "--rho", "9" * 5000, "--window", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: rational with more than 1000 digits")
+
+
 def test_jacobi_json_is_byte_stable():
     argv = ["jacobi", "--algebra", "SV", "--s", "1/2", "--window", "5", "--output", "json"]
     first = run_capture(argv)

@@ -148,6 +148,48 @@ def test_ring_axioms(x, y, z):
     assert x * ZERO == ZERO
 
 
+# -- packed integer product against the schoolbook product --------------------
+
+
+def schoolbook_product(x, y):
+    """Reference product: tuple keys, Fraction coefficients, no packing."""
+    out = {}
+    for e1, c1 in x.terms().items():
+        for e2, c2 in y.terms().items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+def assert_product_matches_schoolbook(x, y):
+    product = (x * y).terms()
+    assert product == schoolbook_product(x, y)
+    assert all(type(exps) is tuple and len(exps) == len(ALPHABET) for exps in product)
+    assert all(all(type(e) is int for e in exps) for exps in product)
+    assert all(type(coeff) is Fraction and coeff for coeff in product.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(max_terms=6, max_exp=4, nvars=9), polys(max_terms=6, max_exp=4, nvars=9))
+def test_product_matches_schoolbook(x, y):
+    assert_product_matches_schoolbook(x, y)
+    # (x + y)(x - y): the cross terms cancel, and x == y cancels everything
+    assert_product_matches_schoolbook(x + y, x - y)
+    assert_product_matches_schoolbook(x, x - x)
+    assert_product_matches_schoolbook(ZERO, y)
+
+
+def test_product_with_exponents_past_16_bits():
+    big = 2**16
+    one = (0,) * (len(ALPHABET) - 1)
+    x = MultiPoly({(big, *one): Fraction(1, 3), (*one, big - 1): -2, (0, big + 5, *one[1:]): Fraction(5, 7)})
+    y = MultiPoly({(*one, big - 1): Fraction(3, 4), (1, *one): 1, (0, 3, *one[1:]): Fraction(-1, 6)})
+    assert_product_matches_schoolbook(x, y)
+    assert_product_matches_schoolbook(x, x)
+    assert (x * y).degree_in("c") == 2 * big - 2
+    assert (x * x).degree_in("b") == 2 * big + 10
+
+
 # -- substitution ---------------------------------------------------------------
 
 
@@ -202,6 +244,45 @@ def test_divrem_identity(x, d):
         d_exps, _ = d.leading_term()
         for exps in r.terms():
             assert not all(a >= b for a, b in zip(exps, d_exps))
+
+
+def divrem_by_max(x, d):
+    """Reference division: pick the leading work term by max() at every step."""
+    d_exps, d_coeff = d.leading_term()
+    quotient, remainder = {}, {}
+    work = x.terms()
+    while work:
+        exps = max(work, key=lambda e: (sum(e), e))
+        coeff = work.pop(exps)
+        if all(a >= b for a, b in zip(exps, d_exps)):
+            t_exps = tuple(a - b for a, b in zip(exps, d_exps))
+            t_coeff = coeff / d_coeff
+            quotient[t_exps] = quotient.get(t_exps, Fraction(0)) + t_coeff
+            for e2, c2 in d.terms().items():
+                if e2 == d_exps:
+                    continue
+                prod = tuple(a + b for a, b in zip(t_exps, e2))
+                acc = work.get(prod, Fraction(0)) - t_coeff * c2
+                if acc:
+                    work[prod] = acc
+                else:
+                    work.pop(prod, None)
+        else:
+            remainder[exps] = coeff
+    return quotient, remainder
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(max_terms=4, max_exp=2), polys(max_terms=3, max_exp=2))
+def test_divrem_matches_max_based_division(x, d, r):
+    if d.is_zero():
+        return
+    # x and x * d + r: the second cancels terms in mid-division
+    for dividend in (x, x * d + r):
+        q, rem = poly_divrem(dividend, d)
+        ref_q, ref_r = divrem_by_max(dividend, d)
+        assert list(q.terms().items()) == list(ref_q.items())
+        assert list(rem.terms().items()) == list(ref_r.items())
 
 
 def test_scalar_division():
