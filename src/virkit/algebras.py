@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from math import ceil, floor
 from typing import Callable
 
 from .errors import ParameterError
-from .poly import MultiPoly
+from .poly import Combination, MultiPoly
 from .rationals import format_rational
 from .reports import CheckReport, Violation
 
@@ -47,77 +49,16 @@ class BasisElement:
         return (FAMILY_ORDER[self.family], self.degree)
 
 
-class Element:
+class Element(Combination):
     """Finite rational linear combination of basis elements."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[BasisElement, Fraction] | None = None):
-        self._terms = {b: c for b, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
+    _order = staticmethod(BasisElement.sort_key)
 
     @classmethod
     def from_basis(cls, basis: BasisElement, coeff: Fraction | int = 1) -> "Element":
-        return cls({basis: Fraction(coeff)})
-
-    def terms(self) -> dict[BasisElement, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self._terms)
-        for b, c in other._terms.items():
-            acc = out.get(b, Fraction(0)) + c
-            if acc:
-                out[b] = acc
-            else:
-                out.pop(b, None)
-        result = Element.__new__(Element)
-        result._terms = out
-        return result
-
-    def __neg__(self) -> "Element":
-        result = Element.__new__(Element)
-        result._terms = {b: -c for b, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __rmul__(self, scalar: Fraction | int) -> "Element":
-        scalar = Fraction(scalar)
-        result = Element.__new__(Element)
-        result._terms = {b: scalar * c for b, c in self._terms.items()} if scalar else {}
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for basis in sorted(self._terms, key=BasisElement.sort_key):
-            coeff = self._terms[basis]
-            if coeff == 1:
-                pieces.append(str(basis))
-            elif coeff.denominator == 1:
-                pieces.append(f"({coeff.numerator})*{basis}")
-            else:
-                pieces.append(f"({coeff.numerator}/{coeff.denominator})*{basis}")
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+        return cls({basis: coeff})
 
 
 @dataclass(frozen=True)
@@ -234,34 +175,20 @@ def bracket(alg: AlgebraSpec, x, y) -> Element:
         x = Element.from_basis(x)
     if isinstance(y, BasisElement):
         y = Element.from_basis(y)
-    out: dict[BasisElement, Fraction] = {}
-    for bx, cx in x.terms().items():
-        for by, cy in y.terms().items():
-            got = struct(alg, bx, by)
-            if got is None:
-                continue
-            coeff, basis = got
-            acc = out.get(basis, Fraction(0)) + cx * cy * coeff
-            if acc:
-                out[basis] = acc
-            else:
-                out.pop(basis, None)
-    return Element(out)
+    return Element.bilinear(x, y, partial(struct, alg))
 
 
 # -- basis enumeration ---------------------------------------------------------
 
 
+def lattice_points(offset: Fraction, bound: Fraction | int) -> list[Fraction]:
+    """All points d of Z + offset with |d| <= bound, ascending."""
+    return [z + offset for z in range(ceil(-bound - offset), floor(bound - offset) + 1)]
+
+
 def basis_degrees(alg: AlgebraSpec, family: str, window: int) -> list[Fraction]:
     """All degrees d of the family with |d| <= window, ascending."""
-    offset = alg.family_offset(family)
-    degrees = []
-    low = -window - 1
-    for z in range(low, window + 2):
-        d = Fraction(z) + offset
-        if -window <= d <= window:
-            degrees.append(d)
-    return degrees
+    return lattice_points(alg.family_offset(family), window)
 
 
 def basis_elements(alg: AlgebraSpec, window: int) -> list[BasisElement]:
@@ -357,26 +284,26 @@ def certify_jacobi(alg: AlgebraSpec) -> bool:
     return _certify(alg, 3, _jacobi_residual)
 
 
+def _window_report(alg: AlgebraSpec, window: int, arity: int, residual) -> CheckReport:
+    """Every tuple of basis elements in the window with a nonzero residual, in order."""
+    violations = []
+    for args in product(basis_elements(alg, window), repeat=arity):
+        value = residual(*args)
+        if value:
+            violations.append(Violation(args, value))
+    return CheckReport.from_violations(window, violations)
+
+
 def window_antisymmetry(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
     """Antisymmetry instance by instance, listing every violation in the window."""
     terms = _struct_terms if bracket_fn is None else _bracket_fn_terms(bracket_fn)
-    violations = []
-    for x, y in product(basis_elements(alg, window), repeat=2):
-        residual = Element(_antisymmetry_residual(alg, x, y, terms))
-        if not residual.is_zero():
-            violations.append(Violation((x, y), residual))
-    return CheckReport.from_violations(window, violations)
+    return _window_report(alg, window, 2, lambda x, y: Element(_antisymmetry_residual(alg, x, y, terms)))
 
 
 def window_jacobi(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
     """The Jacobi identity instance by instance, listing every violation in the window."""
     terms = _struct_terms if bracket_fn is None else _bracket_fn_terms(bracket_fn)
-    violations = []
-    for x, y, z in product(basis_elements(alg, window), repeat=3):
-        residual = Element(_jacobi_residual(alg, x, y, z, terms))
-        if not residual.is_zero():
-            violations.append(Violation((x, y, z), residual))
-    return CheckReport.from_violations(window, violations)
+    return _window_report(alg, window, 3, lambda x, y, z: Element(_jacobi_residual(alg, x, y, z, terms)))
 
 
 def check_antisymmetry(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
@@ -463,12 +390,7 @@ def certify_cocycle(name: str, alg: AlgebraSpec) -> bool:
 
 def window_cocycle(name: str, alg: AlgebraSpec, window: int) -> CheckReport:
     """The cocycle identity instance by instance, listing every violation in the window."""
-    violations = []
-    for x, y, z in product(basis_elements(alg, window), repeat=3):
-        total = _cocycle_residual(name, alg, x, y, z)
-        if total:
-            violations.append(Violation((x, y, z), total))
-    return CheckReport.from_violations(window, violations)
+    return _window_report(alg, window, 3, partial(_cocycle_residual, name, alg))
 
 
 def check_cocycle(name: str, alg: AlgebraSpec, window: int) -> CheckReport:

@@ -185,21 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against the embedded expected case list")
     common(p)
 
-    p = sub.add_parser("module-check", help="module axiom (and optional cyclicity)")
-    p.add_argument("--kind", required=True, choices=MODULE_KINDS)
-    for flag in _MODULE_PARAM_FLAGS:
-        p.add_argument(f"--{flag}", help="rational parameter")
-    p.add_argument("--window", type=int, default=4)
+    def module(name: str, summary: str, window: int) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--kind", required=True, choices=MODULE_KINDS)
+        for flag in _MODULE_PARAM_FLAGS:
+            p.add_argument(f"--{flag}", help="rational parameter")
+        p.add_argument("--window", type=int, default=window)
+        return p
+
+    p = module("module-check", "module axiom (and optional cyclicity)", 4)
     p.add_argument("--cyclicity", action="store_true",
                    help="also run the window-cyclicity check")
     common(p)
 
-    p = sub.add_parser("cyclicity", help="window-cyclicity of every generator")
-    p.add_argument("--kind", required=True, choices=MODULE_KINDS)
-    for flag in _MODULE_PARAM_FLAGS:
-        p.add_argument(f"--{flag}", help="rational parameter")
-    p.add_argument("--window", type=int, default=6)
-    common(p)
+    common(module("cyclicity", "window-cyclicity of every generator", 6))
 
     p = sub.add_parser("reproduce", help="run the acceptance criteria in order")
     p.add_argument("--only", action="append",
@@ -327,19 +326,18 @@ def _cmd_classify(args) -> ReportDocument:
 
 
 def _module_from_args(args):
+    """The module the flags describe, and the report's params in flag order."""
     values = {}
     for flag in _MODULE_PARAM_FLAGS:
         raw = getattr(args, flag)
         if raw is not None:
             values[flag] = parse_rational(raw)
-    return make_module(args.kind, **values), values
+    params = {"kind": args.kind, **values, "window": args.window, "seed": args.seed}
+    return make_module(args.kind, **values), params
 
 
 def _cmd_module_check(args) -> ReportDocument:
-    mod, values = _module_from_args(args)
-    params = {"kind": args.kind}
-    params.update(values)
-    params.update({"window": args.window, "seed": args.seed})
+    mod, params = _module_from_args(args)
     axiom = check_module_axiom(mod, args.window)
     details: dict = {"label": mod.label(), "axiom": axiom.describe()}
     passed = axiom.passed
@@ -361,10 +359,7 @@ def _cmd_module_check(args) -> ReportDocument:
 
 
 def _cmd_cyclicity(args) -> ReportDocument:
-    mod, values = _module_from_args(args)
-    params = {"kind": args.kind}
-    params.update(values)
-    params.update({"window": args.window, "seed": args.seed})
+    mod, params = _module_from_args(args)
     report = check_window_cyclic(mod, args.window)
     return ReportDocument(
         version=__version__,

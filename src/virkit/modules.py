@@ -21,21 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 
 from .algebras import (
     AlgebraSpec,
     BasisElement,
     Element,
+    basis_degrees,
     basis_elements,
+    lattice_points,
     make_algebra,
     struct,
     symbolic_basis,
     validate_window,
 )
 from .errors import ParameterError
-from .poly import MultiPoly
+from .poly import Combination, MultiPoly
 from .rationals import format_rational
 from .reports import CheckReport, Violation
 
@@ -44,78 +46,16 @@ MODULE_KINDS = ("Aab", "Aa", "Ba", "Aabc", "Aabc1c2")
 _PARAM_NAMES = ("a", "b", "bp", "c", "c1", "c2")
 
 
-class WeightVector:
+class WeightVector(Combination):
     """Finite rational linear combination of weight vectors v_i."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        self._terms = {i: c for i, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> "WeightVector":
-        return cls()
+    _name = staticmethod(lambda index: f"v_{format_rational(index)}")
 
     @classmethod
     def basis(cls, index: Fraction | int, coeff: Fraction | int = 1) -> "WeightVector":
-        return cls({Fraction(index): Fraction(coeff)})
-
-    def terms(self) -> dict[Fraction, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        out = dict(self._terms)
-        for i, c in other._terms.items():
-            acc = out.get(i, Fraction(0)) + c
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
-        result = WeightVector.__new__(WeightVector)
-        result._terms = out
-        return result
-
-    def __neg__(self) -> "WeightVector":
-        result = WeightVector.__new__(WeightVector)
-        result._terms = {i: -c for i, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        return self + (-other)
-
-    def __rmul__(self, scalar: Fraction | int) -> "WeightVector":
-        scalar = Fraction(scalar)
-        result = WeightVector.__new__(WeightVector)
-        result._terms = {i: scalar * c for i, c in self._terms.items()} if scalar else {}
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for index in sorted(self._terms):
-            coeff = self._terms[index]
-            name = f"v_{format_rational(index)}"
-            if coeff == 1:
-                pieces.append(name)
-            elif coeff.denominator == 1:
-                pieces.append(f"({coeff.numerator})*{name}")
-            else:
-                pieces.append(f"({coeff.numerator}/{coeff.denominator})*{name}")
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+        return cls({Fraction(index): coeff})
 
 
 @dataclass(frozen=True)
@@ -252,31 +192,12 @@ def act(mod: ModuleSpec, x: Element | BasisElement, vec: WeightVector) -> Weight
     """Action of an algebra element on a module element, extended bilinearly."""
     if isinstance(x, BasisElement):
         x = Element.from_basis(x)
-    out: dict[Fraction, Fraction] = {}
-    for basis, cx in x.terms().items():
-        for index, cv in vec.terms().items():
-            coeff, target = act_basis(mod, basis, index)
-            acc = out.get(target, Fraction(0)) + cx * cv * coeff
-            if acc:
-                out[target] = acc
-            else:
-                out.pop(target, None)
-    return WeightVector(out)
+    return WeightVector.bilinear(x, vec, partial(act_basis, mod))
 
 
 def module_indices(mod: ModuleSpec, bound: Fraction | int) -> list[Fraction]:
     """All weight indices i with |i| <= bound, ascending."""
-    bound = Fraction(bound)
-    out = []
-    low = -int(bound) - 1
-    high = int(bound) + 2
-    for off in mod.index_offsets():
-        for z in range(low, high):
-            i = Fraction(z) + off
-            if -bound <= i <= bound:
-                out.append(i)
-    out.sort()
-    return out
+    return sorted(i for off in mod.index_offsets() for i in lattice_points(off, bound))
 
 
 # -- window checks ----------------------------------------------------------------
@@ -396,14 +317,7 @@ class MissingIndices:
 
 def _operator_degrees(mod: ModuleSpec, window: int) -> list[tuple[str, Fraction]]:
     host = mod.host
-    out: list[tuple[str, Fraction]] = []
-    for family in host.families:
-        offset = host.family_offset(family)
-        for z in range(-2 * window - 1, 2 * window + 2):
-            d = Fraction(z) + offset
-            if abs(d) <= 2 * window:
-                out.append((family, d))
-    return out
+    return [(f, d) for f in host.families for d in basis_degrees(host, f, 2 * window)]
 
 
 def reachable_indices(mod: ModuleSpec, start: Fraction | int, window: int) -> set[Fraction]:

@@ -9,6 +9,9 @@ coefficients, over the fixed variable alphabet
 lexicographic: compare total degree first, then the exponent tuples in
 alphabet order.  Output ("canonical string") lists terms in descending
 order and is bit-exact, so polynomial identities can be frozen as text.
+
+MultiPoly is one kind of Combination, the sparse linear-combination base
+that algebra elements and module weight vectors share.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
+
+from .rationals import format_rational
 
 Rational = Fraction
 
@@ -41,26 +46,144 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
-class MultiPoly:
-    """Immutable sparse polynomial in the fixed alphabet."""
+def _format_monomial(exps: tuple[int, ...]) -> str:
+    parts = []
+    for i, e in enumerate(exps):
+        if e == 1:
+            parts.append(ALPHABET[i])
+        elif e > 1:
+            parts.append(f"{ALPHABET[i]}^{e}")
+    return "*".join(parts)
+
+
+class Combination:
+    """Immutable finite linear combination: keys with nonzero exact coefficients.
+
+    Subclasses fix the key type and its text form: `_order` sorts the keys
+    (descending when `_reverse`), and `_name` writes one key.
+    """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    _order = None
+    _reverse = False
+    _name = staticmethod(str)
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
         if terms:
-            for exps, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = _as_fraction(coeff)
                 if coeff:
-                    clean[exps] = coeff
+                    clean[key] = coeff
         self._terms = clean
         self._hash: int | None = None
 
-    # -- constructors ----------------------------------------------------
+    @classmethod
+    def zero(cls):
+        return cls()
 
     @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
+    def _wrap(cls, terms: dict):
+        """Adopt a dict of nonzero Fraction coefficients without copying it."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        result._hash = None
+        return result
+
+    @classmethod
+    def bilinear(cls, x: "Combination", y: "Combination", rule):
+        """Sum of cx * cy * coeff * target over the term pairs of x and y.
+
+        rule(key_x, key_y) gives (coeff, target), or None for a zero product.
+        """
+        out: dict = {}
+        for kx, cx in x._terms.items():
+            for ky, cy in y._terms.items():
+                got = rule(kx, ky)
+                if got is None:
+                    continue
+                coeff, target = got
+                acc = out.get(target, 0) + cx * cy * coeff
+                if acc:
+                    out[target] = acc
+                else:
+                    out.pop(target, None)
+        return cls._wrap(out)
+
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc = out.get(key, 0) + coeff
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({key: -coeff for key, coeff in self._terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, scalar: Scalar):
+        scalar = _as_fraction(scalar)
+        return self._wrap({k: scalar * c for k, c in self._terms.items()} if scalar else {})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
+
+    def __str__(self) -> str:
+        """Terms joined by " + ": `name`, `(n)*name` or `(n/d)*name`.
+
+        A coefficient of exactly 1 is dropped; a key with an empty name (the
+        constant monomial) prints as its coefficient alone.
+        """
+        if not self._terms:
+            return "0"
+        pieces = []
+        for key in sorted(self._terms, key=self._order, reverse=self._reverse):
+            coeff, name = self._terms[key], self._name(key)
+            text = f"({format_rational(coeff)})"
+            if name:
+                text = name if coeff == 1 else f"{text}*{name}"
+            pieces.append(text)
+        return " + ".join(pieces)
+
+    __repr__ = __str__
+
+
+class MultiPoly(Combination):
+    """Immutable sparse polynomial in the fixed alphabet."""
+
+    __slots__ = ()
+
+    _order = staticmethod(_grlex_key)
+    _reverse = True
+    _name = staticmethod(_format_monomial)
+
+    # -- constructors ----------------------------------------------------
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
@@ -76,21 +199,6 @@ class MultiPoly:
         return cls({tuple(exps): Fraction(1)})
 
     # -- basic queries ----------------------------------------------------
-
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable; -1 for the zero polynomial."""
@@ -132,38 +240,21 @@ class MultiPoly:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return _wrap(out)
+        return Combination.__add__(self, _coerce(other))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "MultiPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
-
     def __sub__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return Combination.__sub__(self, _coerce(other))
 
     def __rsub__(self, other: Scalar) -> "MultiPoly":
         return (-self) + other
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, MultiPoly):
+            return Combination.__rmul__(self, other)
         if not self._terms or not other._terms:
-            return _wrap({})
+            return MultiPoly()
         # Exponent sums stay below 2**width, so adding packed keys never carries.
         top = max(map(max, self._terms)) + max(map(max, other._terms))
         width = top.bit_length() or 1
@@ -175,7 +266,7 @@ class MultiPoly:
             for ky, cy in ys:
                 key = kx + ky
                 acc[key] = get(key, 0) + cx * cy
-        return _wrap(_unpack(acc, width, dx * dy))
+        return MultiPoly._wrap(_unpack(acc, width, dx * dy))
 
     __rmul__ = __mul__
 
@@ -186,7 +277,7 @@ class MultiPoly:
         other = _as_fraction(other)
         if not other:
             raise ValueError("division by zero")
-        return _wrap({e: c / other for e, c in self._terms.items()})
+        return MultiPoly._wrap({e: c / other for e, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int):
@@ -205,22 +296,12 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == MultiPoly.const(other)._terms
-        return NotImplemented
+        return Combination.__eq__(self, _coerce(other))
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+    __hash__ = Combination.__hash__
 
     def __repr__(self) -> str:
         return f"MultiPoly({canonical_string(self)!r})"
-
-    def __str__(self) -> str:
-        return canonical_string(self)
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -262,7 +343,7 @@ class MultiPoly:
                 kept[i] = 0
             for i, value in scalars.items():
                 coeff *= value ** exps[i]
-            term = _wrap({tuple(kept): coeff})
+            term = MultiPoly._wrap({tuple(kept): coeff})
             for i, image in repl.items():
                 key = (i, exps[i])
                 if key not in powers:
@@ -311,14 +392,7 @@ class MultiPoly:
                         work.pop(prod, None)
             else:
                 remainder[exps] = coeff
-        return _wrap(quotient), _wrap(remainder)
-
-
-def _wrap(terms: dict[tuple[int, ...], Fraction]) -> MultiPoly:
-    poly = MultiPoly.__new__(MultiPoly)
-    poly._terms = terms
-    poly._hash = None
-    return poly
+        return MultiPoly._wrap(quotient), MultiPoly._wrap(remainder)
 
 
 def _coerce(value: object) -> MultiPoly:
@@ -438,41 +512,13 @@ def univariate_gcd(*polys: Sequence[Scalar]) -> list[Fraction]:
 # -- canonical text form ----------------------------------------------------
 
 
-def _format_coefficient(coeff: Fraction) -> str:
-    if coeff.denominator == 1:
-        return f"({coeff.numerator})"
-    return f"({coeff.numerator}/{coeff.denominator})"
-
-
-def _format_monomial(exps: tuple[int, ...]) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(ALPHABET[i])
-        elif e > 1:
-            parts.append(f"{ALPHABET[i]}^{e}")
-    return "*".join(parts)
-
-
 def canonical_string(poly: MultiPoly) -> str:
     """Bit-exact text form: terms in descending graded-lex order.
 
     The coefficient prefix "(num/den)*" is omitted only for a coefficient of
     exactly 1 on a non-constant monomial; constants always keep parentheses.
     """
-    if poly.is_zero():
-        return "0"
-    pieces = []
-    for exps in sorted(poly._terms, key=_grlex_key, reverse=True):
-        coeff = poly._terms[exps]
-        mono = _format_monomial(exps)
-        if not mono:
-            pieces.append(_format_coefficient(coeff))
-        elif coeff == 1:
-            pieces.append(mono)
-        else:
-            pieces.append(f"{_format_coefficient(coeff)}*{mono}")
-    return " + ".join(pieces)
+    return str(poly)
 
 
 _COEFF_RE = re.compile(r"^\((-?\d+)(?:/(\d+))?\)$")

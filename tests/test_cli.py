@@ -1,9 +1,12 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -307,3 +310,36 @@ def test_module_entry_point_runs_end_to_end():
     payload = json.loads(result.stdout)
     assert payload["command"] == "jacobi"
     assert payload["passed"] is True
+
+
+# Exit code and sha256 of the rendered output of each README command-line
+# example, captured before Element, WeightVector and MultiPoly shared a base.
+README_OUTPUTS = {
+    "jacobi --algebra W --rho 1/2 --s 0 --window 5": (0, "78833e23859b6b772816e73052c4ed718ef2709aee2a97d4d838fe50427d2203"),
+    "cocycle --name gamma11 --rho 1 --window 8": (0, "90fba3fe47a03013123c312c4c7eb4166d161503bf7d1be8017122b12cd78db9"),
+    "delta --print": (0, "8fe226811f5b11ad6c7ef36f0d60ac7aa598cdbd9b5258e00f0d37cd91749310"),
+    "delta --check-paper": (1, "20ca984d0b83a39d2125106eff8b7f8f4094dcfd3fa4ba0c3348f0b8ae326ee0"),
+    "delta --specialize-s0 --check-paper": (1, "064836a122c0deab252165c2a471a603252dde36d2a4ca666316397e00567795"),
+    "classify --s 1/2 --max-num 4 --max-den 4 --expect-paper": (1, "5eafcf146dbfae8ae1413f547c19ce0c990227799aecc147d883d3f1d15912b8"),
+    "module-check --kind Aabc --a 1/3 --b 2 --c 5 --rho 0 --window 5": (0, "5a97f5c74f288b7df74cfa732799f153646f351188a7792e4908910f90723994"),
+    "module-check --kind Aab --a 0 --b 0 --cyclicity --window 6": (1, "1f4f3c53c34a7e58b85b291e8c1a8fac1abb6c3dccf78cbfe7cebaaf26e135bd"),
+    "cyclicity --kind Ba --a 3 --window 6": (1, "3377e6065b0571b6f00ada6a9d93042642e957d9c19ab0a2055eff3c2512bed0"),
+}
+
+
+def readme_examples():
+    """Argument lists of the README "Command line" block, reproduce excluded."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split()[1:] for line in block.splitlines()]
+    return [" ".join(argv) for argv in lines if argv[0] != "reproduce"]
+
+
+def test_readme_examples_are_all_frozen():
+    assert readme_examples() == list(README_OUTPUTS)
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example_output_is_byte_identical(line):
+    code, text = run_capture(line.split())
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == README_OUTPUTS[line]

@@ -5,10 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from virkit.algebras import BasisElement, Element
+from virkit.algebras import (
+    MAX_WINDOW,
+    BasisElement,
+    Element,
+    basis_degrees,
+    lattice_points,
+    make_algebra,
+)
 from virkit.errors import ParameterError
 from virkit.modules import (
+    MODULE_KINDS,
     MissingIndices,
+    _operator_degrees,
     WeightVector,
     act,
     act_basis,
@@ -309,3 +318,80 @@ def test_simplicity_criterion():
         simplicity_criterion(make_module("Aa", a=1))
     with pytest.raises(ParameterError):
         simplicity_criterion(make_module("Ba", a=1))
+
+
+# -- the lattice enumerator ----------------------------------------------------------
+#
+# The three loops that lattice_points replaced, copied as the oracle.
+
+
+def old_basis_degrees(alg, family, window):
+    offset = alg.family_offset(family)
+    degrees = []
+    low = -window - 1
+    for z in range(low, window + 2):
+        d = Fraction(z) + offset
+        if -window <= d <= window:
+            degrees.append(d)
+    return degrees
+
+
+def old_module_indices(mod, bound):
+    bound = Fraction(bound)
+    out = []
+    low = -int(bound) - 1
+    high = int(bound) + 2
+    for off in mod.index_offsets():
+        for z in range(low, high):
+            i = Fraction(z) + off
+            if -bound <= i <= bound:
+                out.append(i)
+    out.sort()
+    return out
+
+
+def old_operator_degrees(mod, window):
+    host = mod.host
+    out = []
+    for family in host.families:
+        offset = host.family_offset(family)
+        for z in range(-2 * window - 1, 2 * window + 2):
+            d = Fraction(z) + offset
+            if abs(d) <= 2 * window:
+                out.append((family, d))
+    return out
+
+
+SAMPLE_MODULES = {
+    "Aab": dict(a=Fraction(1, 3), b=2),
+    "Aa": dict(a=1),
+    "Ba": dict(a=3),
+    "Aabc": dict(a=Fraction(1, 3), b=2, c=5, rho=0),
+    "Aabc1c2": dict(a=Fraction(1, 3), b=2, bp=HALF, c1=1, c2=0, rho=HALF),
+}
+
+
+def test_lattice_points_match_the_old_loops():
+    assert set(SAMPLE_MODULES) == set(MODULE_KINDS)
+    algebras = [make_algebra("Vir"), make_algebra("D", rho=2)] + [
+        make_algebra(name, rho=rho, s=s)
+        for name, rho in (("W", Fraction(1, 2)), ("SV", None))
+        for s in (0, HALF)
+    ]
+    for window in range(MAX_WINDOW + 1):
+        for alg in algebras:
+            for family in alg.families:
+                got = basis_degrees(alg, family, window)
+                assert got == old_basis_degrees(alg, family, window)
+                assert all(type(d) is Fraction for d in got)
+        for kind, params in SAMPLE_MODULES.items():
+            mod = make_module(kind, **params)
+            for bound in (window, Fraction(window, 2)):
+                assert module_indices(mod, bound) == old_module_indices(mod, bound)
+            assert _operator_degrees(mod, window) == old_operator_degrees(mod, window)
+
+
+def test_lattice_points_at_an_offset():
+    assert lattice_points(HALF, Fraction(3, 2)) == [Fraction(z, 2) for z in (-3, -1, 1, 3)]
+    assert lattice_points(Fraction(0), Fraction(1, 2)) == [Fraction(0)]
+    assert lattice_points(HALF, 0) == []

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virkit.algebras import BasisElement, Element
+from virkit.modules import WeightVector
 from virkit.poly import (
     ALPHABET,
+    Combination,
     MultiPoly,
     canonical_string,
     det3,
@@ -464,3 +467,46 @@ def test_univariate_gcd_is_a_monic_common_multiple_of_the_factor(common, f, g):
     assert univariate_gcd(fc, result) == result == univariate_gcd(gc, result)
     if any(common):
         assert univariate_gcd(common, result) == univariate_gcd(common)
+
+
+# -- the shared linear-combination base ------------------------------------------
+
+# One-term combination of each kind, given its coefficient.
+ONE_TERM = {
+    "Element": lambda coeff: Element.from_basis(BasisElement("L", Fraction(2)), coeff),
+    "WeightVector": lambda coeff: WeightVector.basis(Fraction(1, 2), coeff),
+    "MultiPoly": lambda coeff: MultiPoly({(0, 1, 0, 0, 0, 0, 2, 0, 0): coeff}),
+}
+
+
+@pytest.mark.parametrize("kind", list(ONE_TERM))
+def test_combinations_share_exactness_truthiness_and_equality(kind):
+    make = ONE_TERM[kind]
+    x = make(Fraction(-3, 4))
+    assert isinstance(x, Combination)
+    for bad in (0.1, 0.5, 2.0):
+        with pytest.raises(ValueError):
+            make(bad)
+        with pytest.raises(ValueError):
+            bad * x
+    zero = type(x).zero()
+    assert not zero and zero.is_zero()
+    assert not (x - x) and not make(0) and not 0 * x
+    assert x and not x.is_zero()
+    assert x + x == Fraction(2) * x == make(Fraction(-3, 2))
+    assert -x == make(Fraction(3, 4)) and hash(-x) == hash(make(Fraction(3, 4)))
+    for other in ONE_TERM:
+        if other != kind:
+            assert x != ONE_TERM[other](Fraction(-3, 4))
+            assert zero != type(ONE_TERM[other](1)).zero()
+    assert Element.zero() != WeightVector.zero()
+
+
+def test_combinations_share_one_term_format():
+    coeffs = (1, 4, Fraction(-3, 2))
+    assert [str(ONE_TERM["Element"](c)) for c in coeffs] == ["L_2", "(4)*L_2", "(-3/2)*L_2"]
+    assert [str(ONE_TERM["WeightVector"](c)) for c in coeffs] == [
+        "v_1/2", "(4)*v_1/2", "(-3/2)*v_1/2"
+    ]
+    assert [str(ONE_TERM["MultiPoly"](c)) for c in coeffs] == ["b*m^2", "(4)*b*m^2", "(-3/2)*b*m^2"]
+    assert [str(MultiPoly.const(c)) for c in coeffs] == ["(1)", "(4)", "(-3/2)"]
