@@ -6,6 +6,9 @@ invocations (including --seed) produce byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 invalid
 parameters.
+
+Each handler imports only the layers it calls, so `--help` and the cheap
+subcommands do not load the rest.
 """
 
 from __future__ import annotations
@@ -16,30 +19,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, suite
-from .algebras import (
-    ALGEBRA_NAMES,
-    COCYCLE_NAMES,
-    check_antisymmetry,
-    check_cocycle,
-    check_jacobi,
-    make_algebra,
-)
-from .classify import (
-    certify_factorization,
-    compare_with_expected,
-    compute_delta,
-    enumerate_cases,
-    specialize_s0,
-)
+from . import __version__
 from .errors import ParameterError
-from .modules import (
-    MODULE_KINDS,
-    check_module_axiom,
-    check_window_cyclic,
-    make_module,
-    simplicity_criterion,
-)
+from .names import ALGEBRA_NAMES, COCYCLE_NAMES, MODULE_KINDS, ONLY_GROUPS
 from .poly import canonical_string
 from .rationals import format_rational, parse_rational
 
@@ -202,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the acceptance criteria in order")
     p.add_argument("--only", action="append",
-                   choices=tuple(suite.ONLY_GROUPS) + tuple(str(n) for n in range(1, 11)),
+                   choices=tuple(ONLY_GROUPS) + tuple(str(n) for n in range(1, 11)),
                    help="restrict to a criterion group or number (repeatable)")
     common(p)
 
@@ -213,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_jacobi(args) -> ReportDocument:
+    from .algebras import check_antisymmetry, check_jacobi, make_algebra
+
     rho = parse_rational(args.rho) if args.rho is not None else None
     s = parse_rational(args.s)
     alg = make_algebra(args.algebra, rho=rho, s=s)
@@ -236,6 +220,8 @@ def _cmd_jacobi(args) -> ReportDocument:
 
 
 def _cmd_cocycle(args) -> ReportDocument:
+    from .algebras import check_cocycle, make_algebra
+
     rho = parse_rational(args.rho)
     alg = make_algebra("W", rho=rho, s=0)
     report = check_cocycle(args.name, alg, args.window)
@@ -249,6 +235,8 @@ def _cmd_cocycle(args) -> ReportDocument:
 
 
 def _cmd_delta(args) -> ReportDocument:
+    from .classify import certify_factorization, compute_delta, specialize_s0
+
     show = args.show or not args.check_reference
     params = {
         "print": args.show,
@@ -299,6 +287,8 @@ def _describe_case(case, s: Fraction) -> dict:
 
 
 def _cmd_classify(args) -> ReportDocument:
+    from .classify import compare_with_expected, enumerate_cases
+
     s = parse_rational(args.s)
     result = enumerate_cases(s, args.max_num, args.max_den)
     details: dict = {
@@ -327,6 +317,8 @@ def _cmd_classify(args) -> ReportDocument:
 
 def _module_from_args(args):
     """The module the flags describe, and the report's params in flag order."""
+    from .modules import make_module
+
     values = {}
     for flag in _MODULE_PARAM_FLAGS:
         raw = getattr(args, flag)
@@ -337,6 +329,8 @@ def _module_from_args(args):
 
 
 def _cmd_module_check(args) -> ReportDocument:
+    from .modules import check_module_axiom, check_window_cyclic, simplicity_criterion
+
     mod, params = _module_from_args(args)
     axiom = check_module_axiom(mod, args.window)
     details: dict = {"label": mod.label(), "axiom": axiom.describe()}
@@ -359,6 +353,8 @@ def _cmd_module_check(args) -> ReportDocument:
 
 
 def _cmd_cyclicity(args) -> ReportDocument:
+    from .modules import check_window_cyclic
+
     mod, params = _module_from_args(args)
     report = check_window_cyclic(mod, args.window)
     return ReportDocument(
@@ -371,6 +367,8 @@ def _cmd_cyclicity(args) -> ReportDocument:
 
 
 def _cmd_reproduce(args) -> ReportDocument:
+    from . import suite
+
     only = tuple(args.only) if args.only else None
     results = suite.run_criteria(only=only, seed=args.seed)
     return ReportDocument(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
+from math import lcm
 
 from .algebras import (
     AlgebraSpec,
@@ -33,15 +34,13 @@ from .algebras import (
     lattice_points,
     make_algebra,
     struct,
-    symbolic_basis,
     validate_window,
 )
 from .errors import ParameterError
-from .poly import Combination, MultiPoly
+from .names import MODULE_KINDS
+from .poly import _VAR_INDEX, Combination, MultiPoly, _as_fraction
 from .rationals import format_rational
 from .reports import CheckReport, Violation
-
-MODULE_KINDS = ("Aab", "Aa", "Ba", "Aabc", "Aabc1c2")
 
 _PARAM_NAMES = ("a", "b", "bp", "c", "c1", "c2")
 
@@ -55,7 +54,7 @@ class WeightVector(Combination):
 
     @classmethod
     def basis(cls, index: Fraction | int, coeff: Fraction | int = 1) -> "WeightVector":
-        return cls({Fraction(index): coeff})
+        return cls({_as_fraction(index): coeff})
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def _on_integer_coset(index) -> bool:
 def act_basis(mod: ModuleSpec, x: BasisElement, index) -> tuple:
     """Coefficient and target index of x . v_index; the coefficient may be 0.
 
-    The index and x.degree may also be MultiPoly (see certify_module_axiom);
+    The index and x.degree may also be MultiPoly (see _residual_table);
     the pinned branches of Aa and Ba are then taken only where the pinning
     condition holds identically.
     """
@@ -201,98 +200,143 @@ def module_indices(mod: ModuleSpec, bound: Fraction | int) -> list[Fraction]:
 
 
 # -- window checks ----------------------------------------------------------------
+#
+# The axiom for x = family_p, y = family_k on v_{n + offset} is evaluated once
+# with symbolic p, k, n (integer variables) through act_basis: the residual
+# table.  A table of zeros certifies the axiom for every degree and index.
+# Otherwise the window is listed by evaluating the nonzero entries at each
+# integer point (p, k, n), in int arithmetic over one common denominator.
 
 
-def _axiom_residual(mod: ModuleSpec, x, y, br, i) -> dict:
-    """[x,y].v_i - x.(y.v_i) + y.(x.v_i) by target index; br is struct(host, x, y)."""
-    acc: dict = {}
+def _axiom_residual(mod: ModuleSpec, x, y, i):
+    """Coefficient of v_{i + deg x + deg y} in [x,y].v_i - x.(y.v_i) + y.(x.v_i).
+
+    Every action moves v_i by the degree of the acting element, so all three
+    terms land on that one vector.
+    """
+    total = MultiPoly()
+    br = struct(mod.host, x, y)
     if br is not None:
         c0, b0 = br
-        if c0:
-            coeff, target = act_basis(mod, b0, i)
-            if c0 * coeff:
-                acc[target] = acc.get(target, 0) + c0 * coeff
+        total += c0 * act_basis(mod, b0, i)[0]
     cy, ty = act_basis(mod, y, i)
-    if cy:
-        cx, t2 = act_basis(mod, x, ty)
-        if cy * cx:
-            acc[t2] = acc.get(t2, 0) - cy * cx
+    total -= cy * act_basis(mod, x, ty)[0]
     cx, tx = act_basis(mod, x, i)
-    if cx:
-        cy2, t2 = act_basis(mod, y, tx)
-        if cx * cy2:
-            acc[t2] = acc.get(t2, 0) + cx * cy2
-    return acc
+    return total + cx * act_basis(mod, y, tx)[0]
+
+
+def _pinned_forms(p, k, n) -> tuple:
+    """Where Aa or Ba switches formula inside the axiom for L_p, L_k on v_n.
+
+    Aa switches at index 0 and Ba at index -m: that is n, n+k and n+p, and
+    Ba also meets n+p+k.
+    """
+    return (n, n + k, n + p, n + p + k)
+
+
+def _vanishing_forms(p, k, n) -> frozenset[int]:
+    """Positions of the pinned forms that vanish (identically, for MultiPoly)."""
+    return frozenset(j for j, form in enumerate(_pinned_forms(p, k, n)) if not form)
 
 
 @cache
-def _pinned_cases() -> tuple[dict[str, MultiPoly], ...]:
-    """Substitutions for (p, k, n) onto every intersection of pinned hyperplanes.
+def _pinned_cases() -> dict[frozenset[int], tuple[MultiPoly, ...]]:
+    """Images of (p, k, n) on every intersection of pinned hyperplanes.
 
-    Aa switches formula at index 0 and Ba at index -m.  Inside the axiom for
-    L_p, L_k on v_n those indices are n, n+k and n+p, and Ba also meets
-    n+p+k.  Every point of Z^3 lies on the intersection of the hyperplanes
-    containing it and generically off the others, so checking each
-    intersection with act_basis's identical-vanishing test covers them all.
+    Keyed by the forms that vanish identically there.  Every point of Z^3 lies
+    on the intersection of the hyperplanes containing it and off the others,
+    so the point's own vanishing forms pick the case that holds at it.
     """
-    names = ("p", "k", "n")
-    p, k, n = (MultiPoly.var(v) for v in names)
-    forms = (n, n + k, n + p, n + p + k)
     cases = {}
-    for size in range(len(forms) + 1):
-        for subset in combinations(forms, size):
-            images = {v: MultiPoly.var(v) for v in names}
-            for form in subset:
-                form = form.substitute(images)
+    for size in range(5):
+        for subset in combinations(range(4), size):
+            images = tuple(MultiPoly.var(v) for v in "pkn")
+            for j in subset:
+                form = _pinned_forms(*images)[j]
                 if form.is_zero():
                     continue
                 var = form.variables()[-1]
                 rest = form.substitute({var: 0})
                 slope = (form.substitute({var: 1}) - rest).constant_value()
-                solution = -rest / slope
-                images = {v: image.substitute({var: solution}) for v, image in images.items()}
-            cases[tuple(images.values())] = images
-    return tuple(cases.values())
+                images = tuple(image.substitute({var: -rest / slope}) for image in images)
+            cases.setdefault(_vanishing_forms(*images), images)
+    return cases
+
+
+def _residual_table(mod: ModuleSpec) -> dict[tuple, MultiPoly]:
+    """The axiom's residual as a polynomial in p, k, n, per (fx, fy, offset, case).
+
+    x = family_p and y = family_k act on v_{n + offset}.  The case is None,
+    or for Aa and Ba the vanishing forms of a pinned case.
+    """
+    host = mod.host
+    if mod.kind in ("Aa", "Ba"):
+        cases = _pinned_cases()
+    else:
+        cases = {None: tuple(MultiPoly.var(v) for v in "pkn")}
+    table = {}
+    for fx, fy in product(host.families, repeat=2):
+        for offset in mod.index_offsets():
+            for case, (p, k, n) in cases.items():
+                x = BasisElement(fx, p + host.family_offset(fx))
+                y = BasisElement(fy, k + host.family_offset(fy))
+                table[fx, fy, offset, case] = _axiom_residual(mod, x, y, n + offset)
+    return table
 
 
 def certify_module_axiom(mod: ModuleSpec) -> bool:
-    """True when the module axiom holds identically in the degrees and the index.
+    """True when the module axiom holds identically in the degrees and the index."""
+    return not any(_residual_table(mod).values())
 
-    One identity per family pair and index coset, on each pinned case.
-    """
-    host = mod.host
-    for fx, fy in product(host.families, repeat=2):
-        x, y = symbolic_basis(host, fx, "p"), symbolic_basis(host, fy, "k")
-        for offset in mod.index_offsets():
-            i = MultiPoly.var("n") + offset
-            for images in _pinned_cases() if mod.kind in ("Aa", "Ba") else ({},):
-                xs = BasisElement(fx, x.degree.substitute(images))
-                ys = BasisElement(fy, y.degree.substitute(images))
-                if any(_axiom_residual(mod, xs, ys, struct(host, xs, ys), i.substitute(images)).values()):
-                    return False
-    return True
+
+_P, _K, _N = (_VAR_INDEX[v] for v in ("p", "k", "n"))
+
+
+def _integer_rows(poly: MultiPoly) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Rows (numerator, exponents of p, k, n) over one common denominator."""
+    terms = poly.terms()
+    den = lcm(*(c.denominator for c in terms.values()))
+    rows = [(c.numerator * (den // c.denominator), e[_P], e[_K], e[_N]) for e, c in terms.items()]
+    return rows, den
 
 
 def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
-    """The module axiom instance by instance, listing every violation in the window."""
-    host = mod.host
-    elements = basis_elements(host, window)
-    indices = module_indices(mod, window)
+    """Every (x, y, v_i) in the window with a nonzero residual, in window order."""
+    offsets = mod.index_offsets()
+    table: dict = {}
+    for (fx, fy, offset, case), poly in _residual_table(mod).items():
+        if poly:
+            cosets = table.setdefault((fx, fy), [{} for _ in offsets])
+            cosets[offsets.index(offset)][case] = _integer_rows(poly)
     violations = []
-    for x, y in product(elements, repeat=2):
-        br = struct(host, x, y)
-        for i in indices:
-            residual = WeightVector(_axiom_residual(mod, x, y, br, i))
-            if not residual.is_zero():
-                violations.append(Violation((x, y, WeightVector.basis(i)), residual))
+    if not table:
+        return CheckReport.from_violations(window, violations)
+    host = mod.host
+    pinned = mod.kind in ("Aa", "Ba")
+    points = [(i, offsets.index(i % 1), int(i - i % 1), WeightVector.basis(i))
+              for i in module_indices(mod, window)]
+    for x, y in product(basis_elements(host, window), repeat=2):
+        cosets = table.get((x.family, y.family))
+        if cosets is None:
+            continue
+        p = int(x.degree - host.family_offset(x.family))
+        k = int(y.degree - host.family_offset(y.family))
+        shift = x.degree + y.degree
+        for i, coset, n, vec in points:
+            entry = cosets[coset].get(_vanishing_forms(p, k, n) if pinned else None)
+            if entry is None:
+                continue
+            rows, den = entry
+            value = sum(c * p**ep * k**ek * n**en for c, ep, ek, en in rows)
+            if value:
+                residual = WeightVector._wrap({i + shift: Fraction(value, den)})
+                violations.append(Violation((x, y, vec), residual))
     return CheckReport.from_violations(window, violations)
 
 
 def check_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
     """[x,y].v - x.(y.v) + y.(x.v) = 0 over basis pairs and indices in the window."""
     validate_window(window)
-    if certify_module_axiom(mod):
-        return CheckReport.from_violations(window, [])
     return window_module_axiom(mod, window)
 
 

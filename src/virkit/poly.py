@@ -335,22 +335,23 @@ class MultiPoly(Combination):
                 repl[_VAR_INDEX[name]] = image
             else:
                 scalars[_VAR_INDEX[name]] = _as_fraction(image)
-        powers: dict[tuple[int, int], MultiPoly] = {}
+        # The images' product for each combination of replaced exponents, once;
+        # each term shifts it by its kept monomial straight into the result.
+        products: dict[tuple[int, ...], MultiPoly] = {}
         total: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self._terms.items():
-            kept = list(exps)
-            for i in (*scalars, *repl):
-                kept[i] = 0
-            for i, value in scalars.items():
-                coeff *= value ** exps[i]
-            term = MultiPoly._wrap({tuple(kept): coeff})
-            for i, image in repl.items():
-                key = (i, exps[i])
-                if key not in powers:
-                    powers[key] = image ** exps[i]
-                term = term * powers[key]
-            for e, c in term._terms.items():
-                total[e] = total.get(e, Fraction(0)) + c
+            key = tuple(exps[i] for i in (*scalars, *repl))
+            if key not in products:
+                factor = Fraction(1)
+                for i, value in scalars.items():
+                    factor *= value ** exps[i]
+                products[key] = MultiPoly.const(factor)
+                for i, image in repl.items():
+                    products[key] = products[key] * image ** exps[i]
+            kept = [0 if i in scalars or i in repl else e for i, e in enumerate(exps)]
+            for shift, c in products[key]._terms.items():
+                mono = tuple(a + b for a, b in zip(kept, shift))
+                total[mono] = total.get(mono, 0) + coeff * c
         return MultiPoly(total)
 
     # -- division ----------------------------------------------------------

@@ -31,6 +31,7 @@ from .modules import (
     make_module,
     simplicity_criterion,
 )
+from .names import ONLY_GROUPS
 from .poly import MultiPoly, canonical_string
 from .rationals import format_rational
 
@@ -48,19 +49,6 @@ CRITERION_NAMES = {
     9: "constant-solution",
     10: "determinism",
 }
-
-# --only tokens accepted by reproduce, mapped to criterion numbers
-ONLY_GROUPS = {
-    "delta": (1, 2, 3),
-    "cases": (4,),
-    "jacobi": (5,),
-    "cocycle": (6,),
-    "module": (7,),
-    "cyclic": (8,),
-    "constant": (9,),
-    "determinism": (10,),
-}
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -227,15 +215,15 @@ def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, den: int = 4
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 
 
-def _defect_shape(violation, rho: Fraction, c: Fraction) -> bool:
+def _defect_shape(violation, rho_c: Fraction) -> bool:
     """Residual equals -m*rho*c on (L, Y) pairs and +m*rho*c on (Y, L) pairs."""
     x, y, vec = violation.inputs
     (index,) = vec.terms()
     target = x.degree + y.degree + index
     if x.family == "L" and y.family == "Y":
-        expected = -x.degree * rho * c
+        expected = -x.degree * rho_c
     elif x.family == "Y" and y.family == "L":
-        expected = y.degree * rho * c
+        expected = y.degree * rho_c
     else:
         return False
     return violation.residual == WeightVector.basis(target, expected)
@@ -278,7 +266,7 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     for mod, rho, c in twisted:
         report = check_module_axiom(mod, 4)
         shape = bool(report.violations) and all(
-            _defect_shape(v, rho, c) for v in report.violations
+            _defect_shape(v, rho * c) for v in report.violations
         )
         defect_cases.append({"module": mod.label(), "defect_shape": shape})
         if report.passed or not shape:

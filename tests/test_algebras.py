@@ -19,6 +19,7 @@ from virkit.algebras import (
     struct,
 )
 from virkit.errors import ParameterError
+from virkit.poly import MultiPoly
 
 HALF = Fraction(1, 2)
 
@@ -155,6 +156,16 @@ def test_element_str():
     assert str(e) == "L_2 + (-3/2)*Y_1/2"
     assert str(Element.zero()) == "0"
     assert str(Element.from_basis(M(-1), 4)) == "(4)*M_-1"
+
+
+def test_basis_element_degree_must_be_exact():
+    for bad in (0.1, 2.0, "3"):
+        with pytest.raises(ValueError):
+            BasisElement("L", bad)
+    assert str(BasisElement("L", 3)) == "L_3"
+    assert str(BasisElement("Y", Fraction(-1, 2))) == "Y_-1/2"
+    symbolic = BasisElement("Y", MultiPoly.var("p") + Fraction(1, 2))
+    assert symbolic.degree.constant_term() == Fraction(1, 2)
 
 
 # -- basis enumeration ------------------------------------------------------------

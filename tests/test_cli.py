@@ -312,6 +312,46 @@ def test_module_entry_point_runs_end_to_end():
     assert payload["passed"] is True
 
 
+# The layers each subcommand may load: handlers import only what they call.
+LAYERS = {"suite", "classify", "golden", "algebras", "modules"}
+LAYERS_LOADED = {
+    "--help": set(),
+    "jacobi --algebra Vir --window 1": {"algebras"},
+    "cocycle --name gamma0 --rho 0 --window 1": {"algebras"},
+    "delta": {"classify", "golden"},
+    "classify --s 0 --max-num 1 --max-den 1": {"classify", "golden"},
+    "module-check --kind Aab --a 1/2 --b 1 --window 1": {"algebras", "modules"},
+    "cyclicity --kind Aab --a 1/2 --b 1 --window 1": {"algebras", "modules"},
+    "reproduce --only constant": LAYERS,
+}
+
+
+@pytest.mark.parametrize("line", list(LAYERS_LOADED))
+def test_each_subcommand_loads_only_the_layers_it_calls(line):
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "virkit", *line.split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    loaded = set(re.findall(r"\|\s+virkit\.(\w+)$", result.stderr, re.M))
+    assert "cli" in loaded
+    assert loaded & LAYERS == LAYERS_LOADED[line]
+
+
+def test_the_tracer_still_wraps_every_layer_function(tmp_path):
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spans = tmp_path / "spans"
+    argv = ["module-check", "--kind", "Aab", "--a", "1/2", "--b", "1", "--window", "1"]
+    result = subprocess.run(
+        [sys.executable, str(tracer), str(spans), *argv], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    header = json.loads(spans.read_bytes().split(b"\n", 1)[0])
+    assert "check_module_axiom" in header["names"] and header["count"] > 0
+
+
 # Exit code and sha256 of the rendered output of each README command-line
 # example, captured before Element, WeightVector and MultiPoly shared a base.
 README_OUTPUTS = {

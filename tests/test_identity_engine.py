@@ -2,10 +2,14 @@
 
 The symbolic verdict (zero residual for every family tuple) must equal the
 window verdict on each case.  Where the residual is nonzero, the public check
-must list exactly the violations of the plain window loop.
+must list exactly the violations of the plain window loop.  For the module
+axiom that loop is kept here as an oracle (`oracle_window_module_axiom`): the
+library lists module violations from the residual table instead.
 """
 
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,14 +32,64 @@ from virkit.algebras import (
     window_cocycle,
     window_jacobi,
 )
+from virkit.algebras import basis_elements, struct
+from virkit.cli import run_capture
 from virkit.errors import ParameterError
 from virkit.modules import (
+    WeightVector,
     certify_module_axiom,
     check_module_axiom,
     check_window_cyclic,
     make_module,
+    module_indices,
     window_module_axiom,
 )
+from virkit.reports import CheckReport, Violation
+
+# Enough for describe() to render every violation of these windows.
+ALL = 10**6
+
+
+def oracle_axiom_residual(mod, x, y, br, i):
+    """[x,y].v_i - x.(y.v_i) + y.(x.v_i) by target index; br is struct(host, x, y).
+
+    act_basis is looked up on the module at call time, so a monkeypatched
+    action is seen here as it is by the library.
+    """
+    act_basis = modules.act_basis
+    acc = {}
+    if br is not None:
+        c0, b0 = br
+        if c0:
+            coeff, target = act_basis(mod, b0, i)
+            if c0 * coeff:
+                acc[target] = acc.get(target, 0) + c0 * coeff
+    cy, ty = act_basis(mod, y, i)
+    if cy:
+        cx, t2 = act_basis(mod, x, ty)
+        if cy * cx:
+            acc[t2] = acc.get(t2, 0) - cy * cx
+    cx, tx = act_basis(mod, x, i)
+    if cx:
+        cy2, t2 = act_basis(mod, y, tx)
+        if cx * cy2:
+            acc[t2] = acc.get(t2, 0) + cx * cy2
+    return acc
+
+
+def oracle_window_module_axiom(mod, window):
+    """The module axiom instance by instance, with Fraction actions at every point."""
+    host = mod.host
+    elements = basis_elements(host, window)
+    indices = module_indices(mod, window)
+    violations = []
+    for x, y in product(elements, repeat=2):
+        br = struct(host, x, y)
+        for i in indices:
+            residual = WeightVector(oracle_axiom_residual(mod, x, y, br, i))
+            if not residual.is_zero():
+                violations.append(Violation((x, y, WeightVector.basis(i)), residual))
+    return CheckReport.from_violations(window, violations)
 
 
 def assert_same_algebra_verdicts(alg, window):
@@ -52,10 +106,11 @@ def assert_same_algebra_verdicts(alg, window):
 
 def assert_same_module_verdict(mod, window):
     symbolic = certify_module_axiom(mod)
-    report = window_module_axiom(mod, window)
-    assert symbolic == report.passed
-    if not symbolic:
-        assert check_module_axiom(mod, window).describe() == report.describe()
+    oracle = oracle_window_module_axiom(mod, window)
+    assert symbolic == oracle.passed
+    for report in (window_module_axiom(mod, window), check_module_axiom(mod, window)):
+        assert report.violations == oracle.violations
+        assert report.describe(ALL) == oracle.describe(ALL)
     return symbolic
 
 
@@ -137,6 +192,59 @@ def test_defect_on_a_pinned_hyperplane_is_found(kind, monkeypatch):
     monkeypatch.setattr(modules, "act_basis", shifted)
     mod = make_module(kind, a=3)
     assert not assert_same_module_verdict(mod, 2)
+
+
+@pytest.mark.parametrize("window", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["Aa", "Ba"])
+def test_pinned_defect_listing_matches_the_oracle(kind, window, monkeypatch):
+    original = modules.act_basis
+
+    def shifted(mod, x, index):
+        coeff, target = original(mod, x, index)
+        return (coeff + 1 if index == 0 else coeff), target
+
+    monkeypatch.setattr(modules, "act_basis", shifted)
+    assert not assert_same_module_verdict(make_module(kind, a=3), window)
+
+
+# Window 4 is test_criterion_7_twisted_cases_keep_their_violations.
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_twisted_listing_matches_the_oracle(which, window):
+    _, twisted = suite.module_draws(0)
+    assert not assert_same_module_verdict(twisted[which][0], window)
+
+
+@pytest.mark.parametrize("window", [2, 3, 4])
+@pytest.mark.parametrize("c2", [3, 0], ids=["split-slopes", "c2-zero"])
+def test_aabc1c2_listing_matches_the_oracle(c2, window):
+    mod = make_module("Aabc1c2", a=Fraction(1, 3), b=2, bp=Fraction(1, 2), c1=1, c2=c2,
+                      rho=Fraction(1, 2))
+    assert not assert_same_module_verdict(mod, window)
+
+
+def test_index_dependent_defect_on_both_cosets_matches_the_oracle(monkeypatch):
+    # the true Aabc1c2 residual never depends on the index; this one does, on v_{1/2 + Z} too
+    original = modules.act_basis
+
+    def drifting(mod, x, index):
+        coeff, target = original(mod, x, index)
+        return (coeff + index if x.family == "Y" else coeff), target
+
+    monkeypatch.setattr(modules, "act_basis", drifting)
+    mod = make_module("Aabc1c2", a=Fraction(1, 3), b=2, c1=1, c2=3, rho=Fraction(1, 2))
+    assert not assert_same_module_verdict(mod, 2)
+
+
+@pytest.mark.parametrize("c,window", [("5", 6), ("7" * 1000, 4)], ids=["window-6", "c-1000-digits"])
+def test_failing_listing_through_the_cli_counts_like_the_oracle(c, window):
+    argv = ["module-check", "--kind", "Aabc", "--a", "1/3", "--b", "2", "--c", c,
+            "--rho", "1/2", "--window", str(window), "--output", "json"]
+    code, text = run_capture(argv)
+    mod = make_module("Aabc", a=Fraction(1, 3), b=2, c=int(c), rho=Fraction(1, 2))
+    assert code == 1
+    count = json.loads(text)["details"]["axiom"]["violation_count"]
+    assert count == len(oracle_window_module_axiom(mod, window).violations) > 0
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,14 @@ def test_weight_vector_str():
     assert str(v(-2, 7)) == "(7)*v_-2"
 
 
+def test_weight_vector_index_must_be_exact():
+    for bad in (0.1, 2.0, "3"):
+        with pytest.raises(ValueError):
+            WeightVector.basis(bad)
+    assert WeightVector.basis(3) == v(3)
+    assert str(WeightVector.basis(Fraction(-1, 2), 4)) == "(4)*v_-1/2"
+
+
 def test_module_indices():
     mod = make_module("Aab", a=0, b=0)
     assert module_indices(mod, 2) == [Fraction(z) for z in (-2, -1, 0, 1, 2)]

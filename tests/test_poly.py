@@ -216,6 +216,41 @@ def test_substitute_commutes_with_evaluation(x, image):
     assert substituted.evaluate(point) == x.evaluate(shifted)
 
 
+def substitute_by_products(poly, images):
+    """Reference substitute: each term becomes a one-term MultiPoly times every image power."""
+    scalars = {ALPHABET.index(n): Fraction(v) for n, v in images.items() if not isinstance(v, MultiPoly)}
+    repl = {ALPHABET.index(n): v for n, v in images.items() if isinstance(v, MultiPoly)}
+    total = {}
+    for exps, coeff in poly.terms().items():
+        kept = list(exps)
+        for i in (*scalars, *repl):
+            kept[i] = 0
+        for i, value in scalars.items():
+            coeff *= value ** exps[i]
+        term = MultiPoly({tuple(kept): coeff})
+        for i, image in repl.items():
+            term = term * image ** exps[i]
+        for e, c in term.terms().items():
+            total[e] = total.get(e, Fraction(0)) + c
+    return MultiPoly(total)
+
+
+substitutions = st.dictionaries(
+    st.sampled_from(ALPHABET[:5]),
+    st.one_of(rationals, st.integers(-3, 3), polys(max_terms=3, max_exp=2)),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=6, max_exp=3, nvars=5), substitutions)
+def test_substitute_matches_per_term_products(x, images):
+    got = x.substitute(images)
+    want = substitute_by_products(x, images)
+    assert got == want
+    assert canonical_string(got) == canonical_string(want)
+
+
 # -- division -------------------------------------------------------------------
 
 
