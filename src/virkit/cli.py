@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ParameterError
 from .names import ALGEBRA_NAMES, COCYCLE_NAMES, MODULE_KINDS, ONLY_GROUPS
-from .poly import canonical_string
 from .rationals import format_rational, parse_rational
 
 HALF = Fraction(1, 2)
@@ -44,8 +43,7 @@ REPORT_SCHEMA = {
 _MODULE_PARAM_FLAGS = ("a", "b", "bp", "c", "c1", "c2", "rho")
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     version: str
     command: str
     params: dict
@@ -236,6 +234,7 @@ def _cmd_cocycle(args) -> ReportDocument:
 
 def _cmd_delta(args) -> ReportDocument:
     from .classify import certify_factorization, compute_delta, specialize_s0
+    from .poly import canonical_string
 
     show = args.show or not args.check_reference
     params = {

@@ -29,7 +29,6 @@ from .algebras import (
     AlgebraSpec,
     BasisElement,
     Element,
-    basis_degrees,
     basis_elements,
     lattice_points,
     make_algebra,
@@ -228,38 +227,46 @@ def _axiom_residual(mod: ModuleSpec, x, y, i):
 def _pinned_forms(p, k, n) -> tuple:
     """Where Aa or Ba switches formula inside the axiom for L_p, L_k on v_n.
 
-    Aa switches at index 0 and Ba at index -m: that is n, n+k and n+p, and
-    Ba also meets n+p+k.
+    These are the _action_forms of all its actions: n, n+k, n+p and n+p+k.
     """
     return (n, n + k, n + p, n + p + k)
 
 
-def _vanishing_forms(p, k, n) -> frozenset[int]:
-    """Positions of the pinned forms that vanish (identically, for MultiPoly)."""
-    return frozenset(j for j, form in enumerate(_pinned_forms(p, k, n)) if not form)
+def _action_forms(m, n) -> tuple:
+    """Where Aa (at n = 0) or Ba (at n + m = 0) switches formula for L_m on v_n."""
+    return (n, n + m)
+
+
+def _vanishing_forms(forms, *point) -> frozenset[int]:
+    """Positions of the forms that vanish at the point (identically, for MultiPoly)."""
+    return frozenset(j for j, form in enumerate(forms(*point)) if not form)
 
 
 @cache
-def _pinned_cases() -> dict[frozenset[int], tuple[MultiPoly, ...]]:
-    """Images of (p, k, n) on every intersection of pinned hyperplanes.
+def _pinned_cases(forms, variables: str, pinned: bool) -> dict:
+    """Images of the variables per case, keyed by the forms vanishing identically there.
 
-    Keyed by the forms that vanish identically there.  Every point of Z^3 lies
-    on the intersection of the hyperplanes containing it and off the others,
-    so the point's own vanishing forms pick the case that holds at it.
+    An unpinned kind has the one case None.  For Aa and Ba every integer point lies
+    on the intersection of the hyperplanes containing it and off the others, so the
+    point's own vanishing forms pick the case that holds at it.
     """
+    start = tuple(MultiPoly.var(v) for v in variables)
+    if not pinned:
+        return {None: start}
+    count = len(forms(*start))
     cases = {}
-    for size in range(5):
-        for subset in combinations(range(4), size):
-            images = tuple(MultiPoly.var(v) for v in "pkn")
+    for size in range(count + 1):
+        for subset in combinations(range(count), size):
+            images = start
             for j in subset:
-                form = _pinned_forms(*images)[j]
+                form = forms(*images)[j]
                 if form.is_zero():
                     continue
                 var = form.variables()[-1]
                 rest = form.substitute({var: 0})
                 slope = (form.substitute({var: 1}) - rest).constant_value()
                 images = tuple(image.substitute({var: -rest / slope}) for image in images)
-            cases.setdefault(_vanishing_forms(*images), images)
+            cases.setdefault(_vanishing_forms(forms, *images), images)
     return cases
 
 
@@ -270,10 +277,7 @@ def _residual_table(mod: ModuleSpec) -> dict[tuple, MultiPoly]:
     or for Aa and Ba the vanishing forms of a pinned case.
     """
     host = mod.host
-    if mod.kind in ("Aa", "Ba"):
-        cases = _pinned_cases()
-    else:
-        cases = {None: tuple(MultiPoly.var(v) for v in "pkn")}
+    cases = _pinned_cases(_pinned_forms, "pkn", mod.kind in ("Aa", "Ba"))
     table = {}
     for fx, fy in product(host.families, repeat=2):
         for offset in mod.index_offsets():
@@ -289,15 +293,13 @@ def certify_module_axiom(mod: ModuleSpec) -> bool:
     return not any(_residual_table(mod).values())
 
 
-_P, _K, _N = (_VAR_INDEX[v] for v in ("p", "k", "n"))
-
-
-def _integer_rows(poly: MultiPoly) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Rows (numerator, exponents of p, k, n) over one common denominator."""
+def _integer_rows(poly: MultiPoly, variables: str) -> tuple[list[tuple[int, ...]], int]:
+    """Rows (numerator, exponents of the variables) over one common denominator."""
+    slots = [_VAR_INDEX[v] for v in variables]
     terms = poly.terms()
     den = lcm(*(c.denominator for c in terms.values()))
-    rows = [(c.numerator * (den // c.denominator), e[_P], e[_K], e[_N]) for e, c in terms.items()]
-    return rows, den
+    return [(c.numerator * (den // c.denominator), *(e[j] for j in slots))
+            for e, c in terms.items()], den
 
 
 def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
@@ -307,7 +309,7 @@ def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
     for (fx, fy, offset, case), poly in _residual_table(mod).items():
         if poly:
             cosets = table.setdefault((fx, fy), [{} for _ in offsets])
-            cosets[offsets.index(offset)][case] = _integer_rows(poly)
+            cosets[offsets.index(offset)][case] = _integer_rows(poly, "pkn")
     violations = []
     if not table:
         return CheckReport.from_violations(window, violations)
@@ -323,7 +325,7 @@ def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
         k = int(y.degree - host.family_offset(y.family))
         shift = x.degree + y.degree
         for i, coset, n, vec in points:
-            entry = cosets[coset].get(_vanishing_forms(p, k, n) if pinned else None)
+            entry = cosets[coset].get(_vanishing_forms(_pinned_forms, p, k, n) if pinned else None)
             if entry is None:
                 continue
             rows, den = entry
@@ -359,51 +361,72 @@ class MissingIndices:
     __repr__ = __str__
 
 
-def _operator_degrees(mod: ModuleSpec, window: int) -> list[tuple[str, Fraction]]:
+def _reach_sets(mod: ModuleSpec, window: int) -> tuple[list[Fraction], list[set[int]]]:
+    """The indices i with |i| <= window, ascending, and the positions each one reaches.
+
+    One step joins v_i to v_t when the basis element of degree t - i in some
+    family acts on v_i with a nonzero coefficient.  That coefficient comes once
+    from act_basis with symbolic m, n per case, as in _residual_table, and is
+    evaluated in ints, with indices and degrees doubled.
+    """
     host = mod.host
-    return [(f, d) for f in host.families for d in basis_degrees(host, f, 2 * window)]
+    pinned = mod.kind in ("Aa", "Ba")
+    cases = _pinned_cases(_action_forms, "mn", pinned)
+    indices = module_indices(mod, window)
+    twice = [int(2 * i) for i in indices]
+    reach = [{q} for q in range(len(indices))]
+    for family, offset in product(host.families, mod.index_offsets()):
+        table = {}
+        for case, (m, n) in cases.items():
+            x = BasisElement(family, m + host.family_offset(family))
+            table[case] = _integer_rows(MultiPoly() + act_basis(mod, x, n + offset)[0], "mn")[0]
+        shift = int(2 * host.family_offset(family))
+        for i, twice_i, reached in zip(indices, twice, reach):
+            if i % 1 != offset:
+                continue
+            n = int(i - offset)
+            for t, twice_t in enumerate(twice):
+                m, odd = divmod(twice_t - twice_i - shift, 2)
+                if odd:
+                    continue
+                rows = table[_vanishing_forms(_action_forms, m, n) if pinned else None]
+                if sum(c * m**em * n**en for c, em, en in rows):
+                    reached.add(t)
+    for k, via in enumerate(reach):  # Warshall: close the steps through each index in turn
+        for reached in reach:
+            if k in reached:
+                reached |= via
+    return indices, reach
 
 
 def reachable_indices(mod: ModuleSpec, start: Fraction | int, window: int) -> set[Fraction]:
     """Indices reachable from v_start by repeated basis actions, staying in the window.
 
-    Operator degrees up to 2*window are allowed, so any jump between two
-    in-window indices can be realised by a single basis element when its
-    action coefficient is nonzero.
+    Reads the reach sets of check_window_cyclic: any jump between two in-window
+    indices is one basis element, of degree at most 2*window.
     """
     start = Fraction(start)
     _check_index(mod, start)
     if abs(start) > window:
         raise ParameterError("start index lies outside the window")
-    degrees = _operator_degrees(mod, window)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        j = frontier.pop()
-        for family, d in degrees:
-            target = j + d
-            if abs(target) > window or target in seen:
-                continue
-            coeff, _ = act_basis(mod, BasisElement(family, d), j)
-            if coeff:
-                seen.add(target)
-                frontier.append(target)
-    return seen
+    indices, reach = _reach_sets(mod, window)
+    return {indices[t] for t in reach[indices.index(start)]}
 
 
 def check_window_cyclic(mod: ModuleSpec, window: int) -> CheckReport:
     """Does each v_i with |i| <= window/2 reach every index in that range?
 
-    One violation per failing generator, recording the missed indices.
+    One violation per failing generator, recording the missed indices.  The
+    reach sets are built once, in ints, for every generator.
     """
     validate_window(window)
-    required = module_indices(mod, Fraction(window, 2))
+    indices, reach = _reach_sets(mod, window)
+    required = [q for q, i in enumerate(indices) if 2 * abs(i) <= window]
     violations = []
-    for i in required:
-        reached = reachable_indices(mod, i, window)
-        missing = [j for j in required if j not in reached]
+    for q in required:
+        missing = [indices[t] for t in required if t not in reach[q]]
         if missing:
-            violations.append(Violation((WeightVector.basis(i),), MissingIndices(missing)))
+            violations.append(Violation((WeightVector.basis(indices[q]),), MissingIndices(missing)))
     return CheckReport.from_violations(window, violations)
 
 

@@ -340,6 +340,32 @@ def test_each_subcommand_loads_only_the_layers_it_calls(line):
     assert loaded & LAYERS == LAYERS_LOADED[line]
 
 
+def test_help_loads_neither_poly_nor_dataclasses():
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "virkit", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    loaded = set(re.findall(r"\|\s+([\w.]+)$", result.stderr, re.M))
+    assert "virkit.cli" in loaded
+    assert not loaded & {"virkit.poly", "dataclasses", "inspect"}
+
+
+def test_package_exports_poly_names_on_first_use():
+    import virkit
+    from virkit import MultiPoly, det3
+    from virkit import poly
+
+    assert virkit.__all__ == ["MultiPoly", "ParameterError", "Rational", "canonical_string",
+                              "det3", "parse_poly", "poly_divrem", "__version__"]
+    assert (MultiPoly, det3) == (poly.MultiPoly, poly.det3)
+    assert all(hasattr(virkit, name) for name in virkit.__all__)
+    with pytest.raises(AttributeError):
+        virkit.not_a_name
+
+
 def test_the_tracer_still_wraps_every_layer_function(tmp_path):
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spans = tmp_path / "spans"
@@ -383,3 +409,18 @@ def test_readme_examples_are_all_frozen():
 def test_readme_example_output_is_byte_identical(line):
     code, text = run_capture(line.split())
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == README_OUTPUTS[line]
+
+
+# Exit code and sha256 of the rendered output of the slow window-16 cyclicity
+# paths, captured while reachability was still one act_basis search per generator.
+WINDOW_16_OUTPUTS = {
+    "cyclicity --kind Aabc1c2 --a 1/3 --b 2 --bp 1/2 --c1 1 --c2 1 --rho 1/2 --window 16": (0, "491fabff7d48a238bf30d2b0e91b0cfe72a6bf8eb2c6ec88e8f115279d066a4f"),
+    "cyclicity --kind Aa --a -2 --window 16": (1, "dc001e4be8391b309c20e4f3f870869406d61aa341884178f9db4964cef222d9"),
+    "module-check --kind Aabc1c2 --a 1/3 --b 2 --bp 1/2 --c1 1 --c2 1 --rho 1/2 --cyclicity --window 16 --output json": (1, "1c16d1d2ddaf772329a0207fbe671e8d2a84f06745a84d34f2069e84f15732d7"),
+}
+
+
+@pytest.mark.parametrize("line", list(WINDOW_16_OUTPUTS))
+def test_window_16_cyclicity_output_is_byte_identical(line):
+    code, text = run_capture(line.split())
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == WINDOW_16_OUTPUTS[line]

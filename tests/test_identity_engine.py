@@ -4,7 +4,9 @@ The symbolic verdict (zero residual for every family tuple) must equal the
 window verdict on each case.  Where the residual is nonzero, the public check
 must list exactly the violations of the plain window loop.  For the module
 axiom that loop is kept here as an oracle (`oracle_window_module_axiom`): the
-library lists module violations from the residual table instead.
+library lists module violations from the residual table instead.  Likewise
+cyclicity keeps the per-generator search that calls act_basis at every step
+(`oracle_reachable_indices`); the library searches one integer action graph.
 """
 
 import json
@@ -32,16 +34,18 @@ from virkit.algebras import (
     window_cocycle,
     window_jacobi,
 )
-from virkit.algebras import basis_elements, struct
+from virkit.algebras import basis_degrees, basis_elements, struct
 from virkit.cli import run_capture
 from virkit.errors import ParameterError
 from virkit.modules import (
+    MissingIndices,
     WeightVector,
     certify_module_axiom,
     check_module_axiom,
     check_window_cyclic,
     make_module,
     module_indices,
+    reachable_indices,
     window_module_axiom,
 )
 from virkit.reports import CheckReport, Violation
@@ -112,6 +116,51 @@ def assert_same_module_verdict(mod, window):
         assert report.violations == oracle.violations
         assert report.describe(ALL) == oracle.describe(ALL)
     return symbolic
+
+
+def oracle_reachable_indices(mod, start, window):
+    """Indices reachable from v_start, calling act_basis with Fractions at every step."""
+    host = mod.host
+    degrees = [(f, d) for f in host.families for d in basis_degrees(host, f, 2 * window)]
+    start = Fraction(start)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        j = frontier.pop()
+        for family, d in degrees:
+            target = j + d
+            if abs(target) > window or target in seen:
+                continue
+            coeff, _ = modules.act_basis(mod, BasisElement(family, d), j)
+            if coeff:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+def oracle_window_cyclic(mod, window, reach=None):
+    """One search per generator; reach(i) may supply the oracle's set for start i."""
+    reach = reach or (lambda i: oracle_reachable_indices(mod, i, window))
+    required = module_indices(mod, Fraction(window, 2))
+    violations = []
+    for i in required:
+        reached = reach(i)
+        missing = [j for j in required if j not in reached]
+        if missing:
+            violations.append(Violation((WeightVector.basis(i),), MissingIndices(missing)))
+    return CheckReport.from_violations(window, violations)
+
+
+def assert_same_cyclicity(mod, window):
+    """The report and the set reached from every in-window start match the oracle."""
+    reached = {i: oracle_reachable_indices(mod, i, window) for i in module_indices(mod, window)}
+    oracle = oracle_window_cyclic(mod, window, reached.__getitem__)
+    report = check_window_cyclic(mod, window)
+    assert report.violations == oracle.violations
+    assert report.describe(ALL) == oracle.describe(ALL)
+    for i, expected in reached.items():
+        assert reachable_indices(mod, i, window) == expected
+    return oracle.passed
 
 
 # -- algebras --------------------------------------------------------------------
@@ -258,6 +307,65 @@ def test_aabc1c2_with_split_slopes_and_a_dead_chain(rho, passes):
     assert assert_same_module_verdict(mod, 2) is passes
 
 
+# -- cyclicity ------------------------------------------------------------------
+
+CYCLICITY_MODULES = [mod for group in suite.cyclicity_modules() for mod in group]
+
+
+@pytest.mark.parametrize("mod", CYCLICITY_MODULES, ids=lambda m: m.label())
+def test_criterion_8_cyclicity_matches_the_oracle_at_windows_1_to_8(mod):
+    verdicts = [assert_same_cyclicity(mod, window) for window in range(1, 9)]
+    assert verdicts[-1] == (mod in suite.cyclicity_modules()[1])
+
+
+@pytest.mark.parametrize("a", range(-3, 4))
+@pytest.mark.parametrize("kind", ["Aa", "Ba"])
+def test_pinned_cyclicity_matches_the_oracle(kind, a):
+    # the pinned coefficient m(m + a) vanishes at m = 0, and at m = -a once |a| <= window
+    verdicts = [assert_same_cyclicity(make_module(kind, a=a), window) for window in range(1, 7)]
+    assert not any(verdicts[1:])
+
+
+@pytest.mark.parametrize("rho", [0, Fraction(1, 2), 1])
+@pytest.mark.parametrize("a,b,c,cyclic", [(Fraction(1, 3), 2, 0, True), (Fraction(1, 3), 2, 5, True),
+                                          (0, 1, 0, False), (0, 0, 3, True), (0, 0, 0, False)])
+def test_aabc_cyclicity_matches_the_oracle(a, b, c, cyclic, rho):
+    mod = make_module("Aabc", a=a, b=b, c=c, rho=rho)
+    verdicts = [assert_same_cyclicity(mod, window) for window in range(1, 7)]
+    assert verdicts[-1] is cyclic
+
+
+@pytest.mark.parametrize(
+    "b,bp,c1,c2",
+    [(2, Fraction(1, 2), 1, 0), (2, Fraction(1, 2), 0, 1), (2, Fraction(1, 2), 1, 1),
+     (1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)],
+)
+@pytest.mark.parametrize("a", [Fraction(1, 3), 0])
+def test_aabc1c2_cyclicity_matches_the_oracle(a, b, bp, c1, c2):
+    mod = make_module("Aabc1c2", a=a, b=b, bp=bp, c1=c1, c2=c2, rho=Fraction(1, 2))
+    for window in range(1, 6):
+        assert_same_cyclicity(mod, window)
+
+
+@pytest.mark.parametrize("kind", ["Aa", "Ba"])
+def test_cyclicity_sees_a_defect_on_the_pinned_hyperplane(kind, monkeypatch):
+    # no action where the kind switches formula (Aa: from v_0, Ba: onto v_0);
+    # only the action table's pinned cases carry that defect
+    original = modules.act_basis
+
+    def silenced(mod, x, index):
+        coeff, target = original(mod, x, index)
+        return (0 if (index if kind == "Aa" else target) == 0 else coeff), target
+
+    monkeypatch.setattr(modules, "act_basis", silenced)
+    mod = make_module(kind, a=Fraction(1, 2))
+    assert not assert_same_cyclicity(mod, 4)
+    if kind == "Aa":
+        assert reachable_indices(mod, 0, 4) == {0}
+    else:
+        assert 0 not in reachable_indices(mod, 1, 4)
+
+
 # -- property --------------------------------------------------------------------
 
 quarters = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
@@ -287,6 +395,27 @@ def test_symbolic_verdicts_match_window_2(kind, a, b, bp, c, c2, rho, split):
     assert_same_algebra_verdicts(make_algebra("W", rho=rho, s=Fraction(1, 2)), 2)
     if rho not in (0, -3):
         assert_same_algebra_verdicts(make_algebra("D", rho=rho), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(("Aab", "Aabc", "Aabc1c2")),
+    a=quarters,
+    b=quarters,
+    bp=quarters,
+    c=quarters,
+    c2=quarters,
+    rho=quarters.filter(lambda r: r != -1),
+    window=st.integers(1, 5),
+)
+def test_cyclicity_matches_the_oracle(kind, a, b, bp, c, c2, rho, window):
+    if kind == "Aab":
+        mod = make_module("Aab", a=a, b=b)
+    elif kind == "Aabc":
+        mod = make_module("Aabc", a=a, b=b, c=c, rho=rho)
+    else:
+        mod = make_module("Aabc1c2", a=a, b=b, bp=bp, c1=c, c2=c2, rho=rho)
+    assert_same_cyclicity(mod, window)
 
 
 # -- window bound ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from virkit.errors import ParameterError
 from virkit.modules import (
     MODULE_KINDS,
     MissingIndices,
-    _operator_degrees,
     WeightVector,
     act,
     act_basis,
@@ -396,7 +395,10 @@ def test_lattice_points_match_the_old_loops():
             mod = make_module(kind, **params)
             for bound in (window, Fraction(window, 2)):
                 assert module_indices(mod, bound) == old_module_indices(mod, bound)
-            assert _operator_degrees(mod, window) == old_operator_degrees(mod, window)
+            # the operator degrees of the cyclicity oracle (test_identity_engine.py)
+            host = mod.host
+            degrees = [(f, d) for f in host.families for d in basis_degrees(host, f, 2 * window)]
+            assert degrees == old_operator_degrees(mod, window)
 
 
 def test_lattice_points_at_an_offset():
