@@ -13,8 +13,8 @@ Supported algebras (over exact rationals):
 
 Every bracket of basis elements is a multiple of a single basis element, and
 every coefficient is a polynomial in the degrees.  The checks exploit both:
-they evaluate each identity once per family tuple at symbolic degrees, and
-enumerate a degree window only to list violations.
+each identity is evaluated once per family tuple at symbolic degrees, and the
+resulting residual table both certifies the identity and lists its violations.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import ceil, floor
-from typing import Callable
+from math import ceil, floor, prod
 
 from .errors import ParameterError
 from .names import ALGEBRA_NAMES, COCYCLE_NAMES
@@ -202,25 +201,19 @@ def basis_elements(alg: AlgebraSpec, window: int) -> list[BasisElement]:
 
 # -- window checks --------------------------------------------------------------
 #
-# Every check first asks the symbolic identity engine.  Basis elements get
-# MultiPoly degrees (an integer variable p, k or m plus the family's lattice
-# offset), and struct evaluates the identity on them as it does on numbers,
-# once per family tuple.  A zero residual proves the identity for every
-# degree, so the report is passed with no violations, exactly what any window
-# would give.  A nonzero residual falls back to the window loop, which lists
-# the violations; an injected bracket_fn always goes to the window loop.
+# One residual table per identity decides antisymmetry, Jacobi and the cocycle
+# identity.  Basis elements get degrees p, k, m (integer variables) plus their
+# family's lattice offset, and struct evaluates the residual on them once per
+# family tuple.  Every term lands on the sum of the input degrees, so the table
+# keys a residual by its target family, as integer rows in p, k, m.  An empty
+# table certifies the identity for every degree.  Otherwise the table is
+# evaluated in ints on the window's tuples; only violations become rationals.
 
 # Largest window a check accepts.  A certified identity costs the same at any
 # window; a failing one is listed instance by instance.  At 16 a failing
 # Aabc1c2 module axiom takes about 2 s and 90 MB on a 2-vCPU Xeon under
-# Python 3.11.  The loops for an injected bracket_fn grow as window**3: the
-# Jacobi loop on sv[0] takes about 8.5 s at window 6 on the same host.
+# Python 3.11.
 MAX_WINDOW = 16
-
-BracketFn = Callable[[AlgebraSpec, BasisElement, BasisElement], Element]
-
-# Integer variables standing for the degrees of the first, second, third slot.
-_SLOTS = ("p", "k", "m")
 
 
 def validate_window(window: int) -> None:
@@ -231,98 +224,96 @@ def validate_window(window: int) -> None:
         raise ParameterError(f"window must be at most {MAX_WINDOW}")
 
 
-def symbolic_basis(alg: AlgebraSpec, family: str, var: str) -> BasisElement:
-    """The family's basis element at degree var + offset, var ranging over Z."""
-    return BasisElement(family, MultiPoly.var(var) + alg.family_offset(family))
-
-
-def _family_tuples(alg: AlgebraSpec, arity: int):
-    for families in product(alg.families, repeat=arity):
-        yield tuple(symbolic_basis(alg, f, var) for f, var in zip(families, _SLOTS))
-
-
-def _struct_terms(alg: AlgebraSpec, x: BasisElement, y: BasisElement):
-    got = struct(alg, x, y)
-    return () if got is None else (got,)
-
-
-def _bracket_fn_terms(bracket_fn: BracketFn):
-    def terms(alg, x, y):
-        return [(coeff, basis) for basis, coeff in bracket_fn(alg, x, y).terms().items()]
-
-    return terms
-
-
-def _antisymmetry_residual(alg, x, y, terms) -> dict:
+def _antisymmetry_residual(alg: AlgebraSpec, x, y) -> dict:
+    """[x,y] + [y,x], by target family."""
     acc: dict = {}
-    for u, v in ((x, y), (y, x)):
-        for coeff, basis in terms(alg, u, v):
-            acc[basis] = acc.get(basis, 0) + coeff
+    for coeff, basis in filter(None, (struct(alg, x, y), struct(alg, y, x))):
+        acc[basis.family] = acc.get(basis.family, 0) + coeff
     return acc
 
 
-def _jacobi_residual(alg, x, y, z, terms) -> dict:
+def _jacobi_residual(alg: AlgebraSpec, x, y, z) -> dict:
+    """[[x,y],z] + [[y,z],x] + [[z,x],y], by target family."""
     acc: dict = {}
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-        for c1, b1 in terms(alg, u, v):
-            for c2, b2 in terms(alg, b1, w):
-                acc[b2] = acc.get(b2, 0) + c1 * c2
+        inner = struct(alg, u, v)
+        outer = inner and struct(alg, inner[1], w)
+        if outer:
+            coeff, basis = outer
+            acc[basis.family] = acc.get(basis.family, 0) + inner[0] * coeff
     return acc
 
 
-def _certify(alg: AlgebraSpec, arity: int, residual) -> bool:
-    """Is the identity's residual zero on every family tuple?"""
-    return not any(
-        any(residual(alg, *args, _struct_terms).values()) for args in _family_tuples(alg, arity)
-    )
+def _residual_table(alg: AlgebraSpec, arity: int, residual, closed: bool = False) -> dict:
+    """{family tuple: {target: (integer rows, denominator)}} for the nonzero residuals.
+
+    The slots' degrees are p, k, m in turn; with closed, the last one is minus
+    the sum of the other two.
+    """
+    slots = "pkm"[:arity]
+    symbolic = [{f: BasisElement(f, MultiPoly.var(v) + alg.family_offset(f)) for f in alg.families}
+                for v in slots]
+    table = {}
+    for families in product(alg.families, repeat=arity):
+        args = [by_family[f] for by_family, f in zip(symbolic, families)]
+        if closed:
+            args[-1] = BasisElement(families[-1], -args[0].degree - args[1].degree)
+        entry = {target: (MultiPoly() + value).integer_rows(slots)
+                 for target, value in residual(alg, *args).items() if value}
+        if entry:
+            table[families] = entry
+    return table
+
+
+def _window_listing(alg: AlgebraSpec, window: int, table: dict) -> CheckReport:
+    """Every tuple of basis elements in the window with a nonzero residual, in order.
+
+    A residual keyed None is a scalar of degree 0 (a cocycle value), listed only
+    where the degrees sum to 0; the others are terms of an Element.
+    """
+    violations = []
+    if not table:
+        return CheckReport.from_violations(window, violations)
+    points = [(b.family, int(b.degree - alg.family_offset(b.family)), int(2 * b.degree), b)
+              for b in basis_elements(alg, window)]
+    for args in product(points, repeat=len(next(iter(table)))):
+        families, slots, twice, bases = zip(*args)
+        entry = table.get(families)
+        if entry is None or None in entry and sum(twice):
+            continue
+        values = {}
+        for target, (rows, den) in entry.items():
+            value = sum(c * prod(map(pow, slots, exps)) for c, *exps in rows)
+            if value:
+                values[target] = Fraction(value, den)
+        if values:
+            degree = Fraction(sum(twice), 2)
+            residual = values[None] if None in values else Element._wrap(
+                {BasisElement(family, degree): v for family, v in values.items()})
+            violations.append(Violation(bases, residual))
+    return CheckReport.from_violations(window, violations)
 
 
 def certify_antisymmetry(alg: AlgebraSpec) -> bool:
     """True when antisymmetry holds identically in the degrees, per family pair."""
-    return _certify(alg, 2, _antisymmetry_residual)
+    return not _residual_table(alg, 2, _antisymmetry_residual)
 
 
 def certify_jacobi(alg: AlgebraSpec) -> bool:
     """True when the Jacobi identity holds identically in the degrees, per family triple."""
-    return _certify(alg, 3, _jacobi_residual)
+    return not _residual_table(alg, 3, _jacobi_residual)
 
 
-def _window_report(alg: AlgebraSpec, window: int, arity: int, residual) -> CheckReport:
-    """Every tuple of basis elements in the window with a nonzero residual, in order."""
-    violations = []
-    for args in product(basis_elements(alg, window), repeat=arity):
-        value = residual(*args)
-        if value:
-            violations.append(Violation(args, value))
-    return CheckReport.from_violations(window, violations)
-
-
-def window_antisymmetry(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
-    """Antisymmetry instance by instance, listing every violation in the window."""
-    terms = _struct_terms if bracket_fn is None else _bracket_fn_terms(bracket_fn)
-    return _window_report(alg, window, 2, lambda x, y: Element(_antisymmetry_residual(alg, x, y, terms)))
-
-
-def window_jacobi(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
-    """The Jacobi identity instance by instance, listing every violation in the window."""
-    terms = _struct_terms if bracket_fn is None else _bracket_fn_terms(bracket_fn)
-    return _window_report(alg, window, 3, lambda x, y, z: Element(_jacobi_residual(alg, x, y, z, terms)))
-
-
-def check_antisymmetry(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
+def check_antisymmetry(alg: AlgebraSpec, window: int) -> CheckReport:
     """[x,y] + [y,x] = 0 over all basis pairs with |degree| <= window."""
     validate_window(window)
-    if bracket_fn is None and certify_antisymmetry(alg):
-        return CheckReport.from_violations(window, [])
-    return window_antisymmetry(alg, window, bracket_fn)
+    return _window_listing(alg, window, _residual_table(alg, 2, _antisymmetry_residual))
 
 
-def check_jacobi(alg: AlgebraSpec, window: int, bracket_fn: BracketFn | None = None) -> CheckReport:
+def check_jacobi(alg: AlgebraSpec, window: int) -> CheckReport:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 over all basis triples in the window."""
     validate_window(window)
-    if bracket_fn is None and certify_jacobi(alg):
-        return CheckReport.from_violations(window, [])
-    return window_jacobi(alg, window, bracket_fn)
+    return _window_listing(alg, window, _residual_table(alg, 3, _jacobi_residual))
 
 
 # -- central-extension cocycles --------------------------------------------------
@@ -365,16 +356,15 @@ def cocycle_value(name: str, x: BasisElement, y: BasisElement) -> Fraction:
     return Fraction(0)
 
 
-def _cocycle_residual(name: str, alg: AlgebraSpec, x, y, z):
-    total = Fraction(0)
+def _cocycle_residual(name: str, alg: AlgebraSpec, x, y, z) -> dict:
+    """gamma([x,y],z) + gamma([y,z],x) + gamma([z,x],y), a scalar keyed None."""
+    total = 0
     for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
         got = struct(alg, u, v)
-        if got is None:
-            continue
-        coeff, basis = got
-        if coeff:
+        if got:
+            coeff, basis = got
             total += coeff * cocycle_value(name, basis, w)
-    return total
+    return {None: total}
 
 
 def certify_cocycle(name: str, alg: AlgebraSpec) -> bool:
@@ -383,17 +373,7 @@ def certify_cocycle(name: str, alg: AlgebraSpec) -> bool:
     Each cocycle vanishes unless its two degrees sum to 0, so every term of
     the identity vanishes off the plane x+y+z = 0; on it, z = -p-k.
     """
-    for x, y in _family_tuples(alg, 2):
-        for fz in alg.families:
-            z = BasisElement(fz, -x.degree - y.degree)
-            if _cocycle_residual(name, alg, x, y, z):
-                return False
-    return True
-
-
-def window_cocycle(name: str, alg: AlgebraSpec, window: int) -> CheckReport:
-    """The cocycle identity instance by instance, listing every violation in the window."""
-    return _window_report(alg, window, 3, partial(_cocycle_residual, name, alg))
+    return not _residual_table(alg, 3, partial(_cocycle_residual, name), closed=True)
 
 
 def check_cocycle(name: str, alg: AlgebraSpec, window: int) -> CheckReport:
@@ -404,6 +384,5 @@ def check_cocycle(name: str, alg: AlgebraSpec, window: int) -> CheckReport:
         allowed = " or ".join(f"W({format_rational(r)})[0]" for r in _COCYCLE_RHO[name])
         raise ParameterError(f"{name} is defined on {allowed}, not {alg.label()}")
     validate_window(window)
-    if certify_cocycle(name, alg):
-        return CheckReport.from_violations(window, [])
-    return window_cocycle(name, alg, window)
+    table = _residual_table(alg, 3, partial(_cocycle_residual, name), closed=True)
+    return _window_listing(alg, window, table)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from typing import Collection, Mapping
 
@@ -332,10 +331,9 @@ def _rows_in_bp(poly: MultiPoly) -> list[list[int]]:
     The polynomial is scaled by the lcm of its denominators first, which keeps
     its roots.
     """
-    scale = lcm(*(coeff.denominator for coeff in poly.terms().values()))
     rows = [[0] * (poly.degree_in("b") + 1) for _ in range(poly.degree_in("bp") + 1)]
-    for exps, coeff in poly.terms().items():
-        rows[exps[_VAR_INDEX["bp"]]][exps[_VAR_INDEX["b"]]] = int(coeff * scale)
+    for coeff, eb, ebp in poly.integer_rows(("b", "bp"))[0]:
+        rows[ebp][eb] = coeff
     return rows
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
-from math import lcm
 
 from .algebras import (
     AlgebraSpec,
@@ -37,7 +36,7 @@ from .algebras import (
 )
 from .errors import ParameterError
 from .names import MODULE_KINDS
-from .poly import _VAR_INDEX, Combination, MultiPoly, _as_fraction
+from .poly import Combination, MultiPoly, _as_fraction
 from .rationals import format_rational
 from .reports import CheckReport, Violation
 
@@ -293,15 +292,6 @@ def certify_module_axiom(mod: ModuleSpec) -> bool:
     return not any(_residual_table(mod).values())
 
 
-def _integer_rows(poly: MultiPoly, variables: str) -> tuple[list[tuple[int, ...]], int]:
-    """Rows (numerator, exponents of the variables) over one common denominator."""
-    slots = [_VAR_INDEX[v] for v in variables]
-    terms = poly.terms()
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(c.numerator * (den // c.denominator), *(e[j] for j in slots))
-            for e, c in terms.items()], den
-
-
 def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
     """Every (x, y, v_i) in the window with a nonzero residual, in window order."""
     offsets = mod.index_offsets()
@@ -309,7 +299,7 @@ def window_module_axiom(mod: ModuleSpec, window: int) -> CheckReport:
     for (fx, fy, offset, case), poly in _residual_table(mod).items():
         if poly:
             cosets = table.setdefault((fx, fy), [{} for _ in offsets])
-            cosets[offsets.index(offset)][case] = _integer_rows(poly, "pkn")
+            cosets[offsets.index(offset)][case] = poly.integer_rows("pkn")
     violations = []
     if not table:
         return CheckReport.from_violations(window, violations)
@@ -379,7 +369,7 @@ def _reach_sets(mod: ModuleSpec, window: int) -> tuple[list[Fraction], list[set[
         table = {}
         for case, (m, n) in cases.items():
             x = BasisElement(family, m + host.family_offset(family))
-            table[case] = _integer_rows(MultiPoly() + act_basis(mod, x, n + offset)[0], "mn")[0]
+            table[case] = (MultiPoly() + act_basis(mod, x, n + offset)[0]).integer_rows("mn")[0]
         shift = int(2 * host.family_offset(family))
         for i, twice_i, reached in zip(indices, twice, reach):
             if i % 1 != offset:

@@ -324,6 +324,19 @@ class MultiPoly(Combination):
             total += term
         return total
 
+    def integer_rows(self, variables: Sequence[str]) -> tuple[list[tuple[int, ...]], int]:
+        """Rows (numerator, exponents of the variables) over one common denominator.
+
+        Every variable that occurs must be one of the variables.
+        """
+        slots = [ALPHABET.index(v) for v in variables]
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        rows = [(c.numerator * (den // c.denominator), *(e[j] for j in slots))
+                for e, c in self._terms.items()]
+        if any(sum(row[1:]) != sum(e) for row, e in zip(rows, self._terms)):
+            raise ValueError(f"{self!r} has a variable outside {tuple(variables)}")
+        return rows, den
+
     def substitute(self, images: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Replace variables by polynomials (or scalars); others stay themselves."""
         scalars: dict[int, Fraction] = {}

@@ -23,7 +23,7 @@ from .classify import (
     specialize_s0,
 )
 from .errors import ParameterError
-from .golden import recorded_delta3_difference
+from .golden import recorded_delta3_difference, recorded_s0_sign, reference_s0
 from .modules import (
     WeightVector,
     check_module_axiom,
@@ -109,13 +109,18 @@ def criterion_3(seed: int = 0) -> CriterionResult:
     """Specialisation at bp = b equals the reference display exactly."""
     cert = specialize_s0()
     passed = cert.matches_reference()
+    sign = recorded_s0_sign()
+    if passed:
+        summary = "specialisation matches the reference display"
+    elif cert.computed == sign * reference_s0():
+        summary = f"specialisation is exactly {sign} times the reference display"
+    else:
+        summary = "specialisation is not the recorded multiple of the reference display"
     return CriterionResult(
         number=3,
         name=CRITERION_NAMES[3],
         passed=passed,
-        summary="specialisation matches the reference display"
-        if passed
-        else "specialisation is exactly -1 times the reference display",
+        summary=summary,
         details={
             "matches_reference": passed,
             "difference": canonical_string(cert.difference),

@@ -213,25 +213,6 @@ def test_jacobi_window(alg):
     assert report.violations == []
 
 
-def test_jacobi_detects_corrupted_structure_constants():
-    # quadratic twist of the L-on-Y weight is antisymmetric but not a Lie bracket
-    alg = make_algebra("W", rho=1, s=0)
-
-    def corrupted(a, x, y):
-        if x.family == "L" and y.family == "Y":
-            coeff = y.degree - x.degree**2 * a.rho
-            return Element.from_basis(BasisElement("Y", x.degree + y.degree), coeff)
-        if x.family == "Y" and y.family == "L":
-            coeff = x.degree - y.degree**2 * a.rho
-            return -1 * Element.from_basis(BasisElement("Y", x.degree + y.degree), coeff)
-        return bracket(a, x, y)
-
-    assert check_antisymmetry(alg, 2, bracket_fn=corrupted).passed
-    report = check_jacobi(alg, 2, bracket_fn=corrupted)
-    assert not report.passed
-    assert report.violations
-
-
 def test_check_rejects_negative_window():
     alg = make_algebra("Vir")
     with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from virkit import suite
 from virkit.classify import (
     ClassificationCase,
     build_functional_equation,
@@ -270,6 +271,15 @@ def test_s0_specialisation_is_minus_reference():
     assert canonical_string(cert.computed) == (
         DATA_DIR / "s0_specialization.txt"
     ).read_text().strip()
+
+
+def test_criterion_3_summary_checks_the_recorded_sign(monkeypatch):
+    result = suite.criterion_3()
+    assert result.summary == "specialisation is exactly -1 times the reference display"
+    monkeypatch.setattr(suite, "recorded_s0_sign", lambda: 1)
+    other = suite.criterion_3()
+    assert other.summary == "specialisation is not the recorded multiple of the reference display"
+    assert (other.passed, other.details) == (result.passed, result.details)
 
 
 # -- vanishing conditions -------------------------------------------------------------

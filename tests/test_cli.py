@@ -411,6 +411,23 @@ def test_readme_example_output_is_byte_identical(line):
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == README_OUTPUTS[line]
 
 
+# Exit code and sha256 of the rendered output of the algebra identities at the
+# largest window, captured while their violations were still listed by a
+# Fraction loop over every instance.
+WINDOW_16_IDENTITY_OUTPUTS = {
+    "jacobi --algebra Vir --window 16": (0, "23394dd612b11dd908340e66cc92ccae4a7b086208b87b96b8047f390c66108c"),
+    "jacobi --algebra SV --s 1/2 --window 16": (0, "c7902faafc1f9d832afa54eed81ffe0c8d806fb7eeb3a7fee3fd64b89e8e7f2b"),
+    "jacobi --algebra D --rho 1/2 --window 16 --output json": (0, "3a076f8a662b487774f78cde1b55730a841341d32bdaded92d745c8a76a44683"),
+    "cocycle --name gamma01 --rho 0 --window 16 --output json": (0, "f3e627193ca7077c19048f5afed61e4838e40ed5370a9f49ed8d3ecb9cc50e1d"),
+}
+
+
+@pytest.mark.parametrize("line", list(WINDOW_16_IDENTITY_OUTPUTS))
+def test_window_16_identity_output_is_byte_identical(line):
+    code, text = run_capture(line.split())
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == WINDOW_16_IDENTITY_OUTPUTS[line]
+
+
 # Exit code and sha256 of the rendered output of the slow window-16 cyclicity
 # paths, captured while reachability was still one act_basis search per generator.
 WINDOW_16_OUTPUTS = {

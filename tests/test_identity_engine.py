@@ -2,11 +2,15 @@
 
 The symbolic verdict (zero residual for every family tuple) must equal the
 window verdict on each case.  Where the residual is nonzero, the public check
-must list exactly the violations of the plain window loop.  For the module
-axiom that loop is kept here as an oracle (`oracle_window_module_axiom`): the
-library lists module violations from the residual table instead.  Likewise
-cyclicity keeps the per-generator search that calls act_basis at every step
-(`oracle_reachable_indices`); the library searches one integer action graph.
+must list exactly the violations of the plain window loop.  Those loops are
+kept here as oracles, with Fraction arithmetic at every instance: the library
+lists violations from its residual tables instead.  `oracle_window_antisymmetry`,
+`oracle_window_jacobi` and `oracle_window_cocycle` call algebras.struct, and
+`oracle_window_module_axiom` calls modules.act_basis, at call time, so a
+monkeypatched structure or action is seen by oracle and library alike.
+Likewise cyclicity keeps the per-generator search that calls act_basis at
+every step (`oracle_reachable_indices`); the library searches one integer
+action graph.
 """
 
 import json
@@ -17,22 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virkit import modules, suite
+from virkit import algebras, modules, suite
 from virkit.algebras import (
     MAX_WINDOW,
     BasisElement,
     Element,
-    bracket,
     certify_antisymmetry,
     certify_cocycle,
     certify_jacobi,
     check_antisymmetry,
     check_cocycle,
     check_jacobi,
+    cocycle_value,
     make_algebra,
-    window_antisymmetry,
-    window_cocycle,
-    window_jacobi,
 )
 from virkit.algebras import basis_degrees, basis_elements, struct
 from virkit.cli import run_capture
@@ -48,6 +49,7 @@ from virkit.modules import (
     reachable_indices,
     window_module_axiom,
 )
+from virkit.names import COCYCLE_NAMES
 from virkit.reports import CheckReport, Violation
 
 # Enough for describe() to render every violation of these windows.
@@ -96,16 +98,83 @@ def oracle_window_module_axiom(mod, window):
     return CheckReport.from_violations(window, violations)
 
 
-def assert_same_algebra_verdicts(alg, window):
-    for certify, check, loop in (
-        (certify_antisymmetry, check_antisymmetry, window_antisymmetry),
-        (certify_jacobi, check_jacobi, window_jacobi),
+def oracle_brackets(alg, x, y):
+    """The terms (coefficient, basis element) of [x, y] from algebras.struct."""
+    got = algebras.struct(alg, x, y)
+    return () if got is None else (got,)
+
+
+def oracle_window(alg, window, arity, residual):
+    """Every tuple of basis elements in the window with a nonzero residual, in order."""
+    violations = []
+    for args in product(basis_elements(alg, window), repeat=arity):
+        value = residual(*args)
+        if value:
+            violations.append(Violation(args, value))
+    return CheckReport.from_violations(window, violations)
+
+
+def oracle_window_antisymmetry(alg, window):
+    """[x,y] + [y,x] instance by instance, with Fraction brackets."""
+    def residual(x, y):
+        acc = {}
+        for u, v in ((x, y), (y, x)):
+            for coeff, basis in oracle_brackets(alg, u, v):
+                acc[basis] = acc.get(basis, 0) + coeff
+        return Element(acc)
+
+    return oracle_window(alg, window, 2, residual)
+
+
+def oracle_window_jacobi(alg, window):
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] instance by instance, with Fraction brackets."""
+    def residual(x, y, z):
+        acc = {}
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for c1, b1 in oracle_brackets(alg, u, v):
+                for c2, b2 in oracle_brackets(alg, b1, w):
+                    acc[b2] = acc.get(b2, 0) + c1 * c2
+        return Element(acc)
+
+    return oracle_window(alg, window, 3, residual)
+
+
+def oracle_window_cocycle(name, alg, window):
+    """gamma([x,y],z) + gamma([y,z],x) + gamma([z,x],y) instance by instance."""
+    def residual(x, y, z):
+        total = Fraction(0)
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for coeff, basis in oracle_brackets(alg, u, v):
+                if coeff:
+                    total += coeff * cocycle_value(name, basis, w)
+        return total
+
+    return oracle_window(alg, window, 3, residual)
+
+
+def assert_same_algebra_listing(alg, window):
+    """Both checks list exactly the oracles' violations; a certified identity lists none.
+
+    Returns (certified, window passed) for antisymmetry and for Jacobi.
+    """
+    verdicts = []
+    for certify, check, oracle in (
+        (certify_antisymmetry, check_antisymmetry, oracle_window_antisymmetry),
+        (certify_jacobi, check_jacobi, oracle_window_jacobi),
     ):
-        symbolic = certify(alg)
-        report = loop(alg, window)
-        assert symbolic == report.passed
-        if not symbolic:
-            assert check(alg, window).describe() == report.describe()
+        expected = oracle(alg, window)
+        report = check(alg, window)
+        assert report.violations == expected.violations
+        assert report.describe(ALL) == expected.describe(ALL)
+        certified = certify(alg)
+        assert expected.passed or not certified
+        verdicts.append((certified, expected.passed))
+    return verdicts
+
+
+def assert_same_algebra_verdicts(alg, window):
+    for certified, passed in assert_same_algebra_listing(alg, window):
+        assert certified == passed
 
 
 def assert_same_module_verdict(mod, window):
@@ -172,39 +241,81 @@ def test_criterion_5_algebras_agree_at_window_3(alg):
     assert_same_algebra_verdicts(alg, 3)
 
 
-def corrupted(a, x, y):
+def twisted_l_on_y(alg, x, y):
     # quadratic twist of the L-on-Y weight: antisymmetric, not a Lie bracket
     if x.family == "L" and y.family == "Y":
-        coeff = y.degree - x.degree**2 * a.rho
-        return Element.from_basis(BasisElement("Y", x.degree + y.degree), coeff)
+        return (y.degree - x.degree**2 * alg.rho, BasisElement("Y", x.degree + y.degree))
     if x.family == "Y" and y.family == "L":
-        coeff = x.degree - y.degree**2 * a.rho
-        return -1 * Element.from_basis(BasisElement("Y", x.degree + y.degree), coeff)
-    return bracket(a, x, y)
+        return (-(x.degree - y.degree**2 * alg.rho), BasisElement("Y", x.degree + y.degree))
+    return struct(alg, x, y)
 
 
-def test_corrupted_bracket_lists_the_window_violations():
-    # an injected bracket is never certified: it always runs the window loop
+def twisted_y_on_y(alg, x, y):
+    # [Y_p, Y_q] = (q - p + p q) M_{p+q}: neither antisymmetric nor a Lie bracket
+    if x.family == "Y" and y.family == "Y":
+        return (y.degree - x.degree + x.degree * y.degree, BasisElement("M", x.degree + y.degree))
+    return struct(alg, x, y)
+
+
+def test_jacobi_detects_corrupted_structure_constants(monkeypatch):
+    monkeypatch.setattr(algebras, "struct", twisted_l_on_y)
     alg = make_algebra("W", rho=1, s=0)
-    for check, loop in ((check_antisymmetry, window_antisymmetry), (check_jacobi, window_jacobi)):
-        assert check(alg, 2, corrupted).describe() == loop(alg, 2, corrupted).describe()
-    assert check_antisymmetry(alg, 2, corrupted).passed
-    assert check_jacobi(alg, 2, corrupted).violations
+    assert certify_antisymmetry(alg) and check_antisymmetry(alg, 2).passed
+    report = check_jacobi(alg, 2)
+    assert not certify_jacobi(alg) and not report.passed
+    assert len(report.violations) == 180
+    assert report.describe(ALL) == oracle_window_jacobi(alg, 2).describe(ALL)
+
+
+@pytest.mark.parametrize("s", [0, Fraction(1, 2)])
+@pytest.mark.parametrize("rho", [1, 3, Fraction(1, 2)])
+def test_corrupted_struct_listing_matches_the_oracle_at_windows_0_to_4(rho, s, monkeypatch):
+    monkeypatch.setattr(algebras, "struct", twisted_l_on_y)
+    alg = make_algebra("W", rho=rho, s=s)
+    assert not certify_jacobi(alg)
+    for window in range(5):
+        assert_same_algebra_listing(alg, window)
+    assert not check_jacobi(alg, 4).passed
+
+
+# The L-on-Y twist leaves a residual free of the Y degree; this one depends on
+# both Y degrees, so on sv[1/2] it also sees the half-integer offset of Y.
+@pytest.mark.parametrize(
+    "alg",
+    [make_algebra("SV", s=0), make_algebra("SV", s=Fraction(1, 2)), make_algebra("D", rho=Fraction(1, 2))],
+    ids=lambda a: a.label(),
+)
+def test_twisted_y_bracket_lists_m_targets_like_the_oracle(alg, monkeypatch):
+    monkeypatch.setattr(algebras, "struct", twisted_y_on_y)
+    assert not certify_antisymmetry(alg) and not certify_jacobi(alg)
+    assert_same_algebra_listing(alg, 3)
+    for report in (check_antisymmetry(alg, 3), check_jacobi(alg, 3)):
+        families = {key.family for v in report.violations for key in v.residual.terms()}
+        assert families == {"M"}
+
+
+@pytest.mark.parametrize("rho", [0, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
+@pytest.mark.parametrize("name", COCYCLE_NAMES)
+def test_every_cocycle_listing_matches_the_oracle(name, rho, monkeypatch):
+    # admit every base W(rho)[0], so that check_cocycle reaches failing identities
+    alg = make_algebra("W", rho=rho, s=0)
+    admitted = algebras._COCYCLE_RHO[name]
+    monkeypatch.setitem(algebras._COCYCLE_RHO, name, (alg.rho,))
+    expected = oracle_window_cocycle(name, alg, 4)
+    report = check_cocycle(name, alg, 4)
+    assert report.violations == expected.violations
+    assert report.describe(ALL) == expected.describe(ALL)
+    assert certify_cocycle(name, alg) is expected.passed
+    # gamma0 lives on the L family alone, so it is a cocycle of every W(rho)[0]
+    assert expected.passed is (name == "gamma0" or alg.rho in admitted)
 
 
 @pytest.mark.parametrize("name,rho", suite.COCYCLE_CHECKS)
 def test_criterion_6_cocycles_agree(name, rho):
     alg = make_algebra("W", rho=rho, s=0)
-    assert certify_cocycle(name, alg)
-    assert window_cocycle(name, alg, 4).passed
-    assert check_cocycle(name, alg, 4).describe() == window_cocycle(name, alg, 4).describe()
-
-
-def test_cocycle_on_the_other_base_algebra_is_not_certified():
-    # gamma11 is a cocycle of W(1)[0] only; evaluated on W(0)[0] it fails
-    alg = make_algebra("W", rho=0, s=0)
-    assert not certify_cocycle("gamma11", alg)
-    assert not window_cocycle("gamma11", alg, 3).passed
+    expected = oracle_window_cocycle(name, alg, 4)
+    assert certify_cocycle(name, alg) and expected.passed
+    assert check_cocycle(name, alg, 4).describe() == expected.describe()
 
 
 # -- modules ---------------------------------------------------------------------

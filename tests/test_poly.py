@@ -128,6 +128,54 @@ def test_evaluate_requires_all_occurring_variables():
     assert poly.evaluate({"m": 1, "k": 2}) == 3
 
 
+@st.composite
+def polys_in(draw, variables):
+    """Polynomials in the given variables only, with small rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = [0] * len(ALPHABET)
+        for name in variables:
+            exps[ALPHABET.index(name)] = draw(st.integers(0, 3))
+        terms[tuple(exps)] = draw(st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    return MultiPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(("pkn", "mn")))
+def test_integer_rows_evaluate_like_the_polynomial(data, variables):
+    poly = data.draw(polys_in(variables))
+    rows, den = poly.integer_rows(variables)
+    assert type(den) is int and den > 0
+    rebuilt = {}
+    for row in rows:
+        # a numerator, then one exponent per requested variable, in order
+        assert len(row) == 1 + len(variables) and all(type(x) is int for x in row)
+        exps = [0] * len(ALPHABET)
+        for name, e in zip(variables, row[1:]):
+            exps[ALPHABET.index(name)] = e
+        rebuilt[tuple(exps)] = Fraction(row[0], den)
+    assert MultiPoly(rebuilt) == poly
+    for _ in range(3):
+        point = data.draw(st.lists(st.integers(-7, 7), min_size=len(variables), max_size=len(variables)))
+        total = 0
+        for c, *exps in rows:
+            term = c
+            for x, e in zip(point, exps):
+                term *= x**e
+            total += term
+        assert Fraction(total, den) == poly.evaluate(dict(zip(variables, point)))
+
+
+def test_integer_rows_of_zero_and_of_a_foreign_variable():
+    assert ZERO.integer_rows("pkn") == ([], 1)
+    rows, den = (V["p"] / 2 - 3).integer_rows("pk")
+    assert (sorted(rows), den) == ([(-6, 0, 0), (1, 1, 0)], 2)
+    with pytest.raises(ValueError):
+        (V["p"] + V["n"]).integer_rows("pk")
+    with pytest.raises(ValueError):
+        V["p"].integer_rows(("p", "q"))
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(), polys())
 def test_evaluate_is_multiplicative(x, y):
