@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
-from typing import Collection, Mapping
+from typing import Mapping
 
 from .errors import ParameterError
 from .golden import (
@@ -27,13 +28,12 @@ from .golden import (
     EXPECTED_HALF_POINTS,
     EXPECTED_S0_FAMILIES,
     EXPECTED_S0_POINTS,
-    recorded_delta3_difference,
     reference_delta1,
     reference_delta2,
     reference_delta3,
     reference_s0,
 )
-from .poly import _VAR_INDEX, MultiPoly, det3, univariate_gcd, univariate_value
+from .poly import MultiPoly, det3, univariate_gcd
 from .rationals import format_rational
 
 _A = MultiPoly.var("a")
@@ -47,17 +47,22 @@ _C = MultiPoly.var("c")
 
 HALF = Fraction(1, 2)
 
-HALF_RELATIONS = ("bp=b", "b+bp=1", "bp=b+1/2", "bp=b-1/2")
-
-# Each s = 1/2 relation as the line b -> bp.
-_RELATION_LINES = {
-    "bp=b": lambda b: b,
-    "b+bp=1": lambda b: 1 - b,
-    "bp=b+1/2": lambda b: b + HALF,
-    "bp=b-1/2": lambda b: b - HALF,
+# For each scanned slope, its relations in case order, each as the line b -> bp.
+# The s = 0 scan runs on the diagonal bp = b, and its one family frees b there.
+RELATIONS = {
+    HALF: {
+        "bp=b": lambda b: b,
+        "b+bp=1": lambda b: 1 - b,
+        "bp=b+1/2": lambda b: b + HALF,
+        "bp=b-1/2": lambda b: b - HALF,
+    },
+    Fraction(0): {"b free": lambda b: b},
 }
 
-_RELATION_RANK = {"bp=b": 0, "b+bp=1": 1, "bp=b+1/2": 2, "bp=b-1/2": 3, "b free": 0, "points": 9}
+_EXPECTED = {
+    HALF: (EXPECTED_HALF_FAMILIES, EXPECTED_HALF_POINTS),
+    Fraction(0): (EXPECTED_S0_FAMILIES, EXPECTED_S0_POINTS),
+}
 
 
 # -- the one-step recurrence -------------------------------------------------------
@@ -196,25 +201,15 @@ def _reduced_quotient() -> tuple[bool, MultiPoly]:
 def _quadratic_coefficients() -> tuple[bool, tuple[MultiPoly, MultiPoly, MultiPoly]]:
     """Extract (C1, C2, C3) with quotient = C1 m^2 + C2 (a+k) p + C3 p^2."""
     _, quotient = _reduced_quotient()
-    buckets: dict[tuple[int, int, int, int], dict[tuple[int, ...], Fraction]] = {}
-    for exps, coeff in quotient.terms().items():
-        if exps[_VAR_INDEX["n"]] or exps[_VAR_INDEX["c"]]:
-            return False, (MultiPoly.zero(),) * 3
-        outer = tuple(exps[_VAR_INDEX[name]] for name in ("a", "p", "k", "m"))
-        inner = list(exps)
-        for name in ("a", "p", "k", "m"):
-            inner[_VAR_INDEX[name]] = 0
-        buckets.setdefault(outer, {})[tuple(inner)] = coeff
-    allowed = {(0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 0)}
-    if not set(buckets) <= allowed:
+    c1 = quotient.substitute({"a": 0, "k": 0, "p": 0, "m": 1})
+    c3 = quotient.substitute({"a": 0, "k": 0, "m": 0, "p": 1})
+    c2 = quotient.substitute({"a": 1, "p": 1, "k": 0, "m": 0}) - c3
+    # the substitutions read the right coefficients only if the shape holds exactly
+    if quotient != c1 * _M**2 + c2 * (_A + _K) * _P + c3 * _P**2 or any(
+        set(c.variables()) - {"b", "bp", "rho"} for c in (c1, c2, c3)
+    ):
         return False, (MultiPoly.zero(),) * 3
-    c1 = MultiPoly(buckets.get((0, 0, 0, 2), {}))
-    c2_from_a = MultiPoly(buckets.get((1, 1, 0, 0), {}))
-    c2_from_k = MultiPoly(buckets.get((0, 1, 1, 0), {}))
-    c3 = MultiPoly(buckets.get((0, 2, 0, 0), {}))
-    if c2_from_a != c2_from_k:
-        return False, (MultiPoly.zero(),) * 3
-    return True, (c1, c2_from_a, c3)
+    return True, (c1, c2, c3)
 
 
 def certify_factorization() -> FactorizationCertificate:
@@ -263,8 +258,7 @@ def _coefficients() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
 def _vanishes_at(rho: Fraction, b: Fraction, bp: Fraction) -> bool:
     """Is the determinant identically zero in (a, k, p, m) at these parameters?
 
-    The point oracle: the scan decides whole grids with _vanishing_locus and
-    _diagonal_locus instead.
+    The point oracle: the scan decides whole grid lines with _locus instead.
     """
     point = {"b": b, "bp": bp, "rho": rho}
     if linear_factor_1().evaluate(point) == 0 or linear_factor_2().evaluate(point) == 0:
@@ -284,8 +278,8 @@ def condition_pair_holds(
 
 
 # Largest accepted max_num and max_den.  The s = 1/2 scan takes about G^2
-# small gcds for G grid values; at 16/16 (G = 319) the CLI run takes about
-# 17 s on a 2-vCPU Xeon, and the cost grows as the fourth power of the bound.
+# small gcds for G grid values, and G grows about as the square of the bound;
+# at 16/16 (G = 319) the CLI run takes about 6 s on a 2-vCPU Xeon.
 MAX_GRID_BOUND = 16
 
 
@@ -312,9 +306,6 @@ class ClassificationCase:
     points: tuple
     satisfied_by: tuple
 
-    def sort_key(self) -> tuple:
-        return (self.rho, _RELATION_RANK[self.relation], self.points)
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -325,123 +316,106 @@ class ScanResult:
     hits: tuple
 
 
-def _rows_in_bp(poly: MultiPoly) -> list[list[int]]:
-    """A polynomial in (b, bp) as integer coefficient lists in b, one per power of bp.
+def _grid_roots(polys: list[list[int]], grid: list[Fraction]) -> list[Fraction]:
+    """Grid values at which every polynomial (coefficients from the constant term up) vanishes.
 
-    The polynomial is scaled by the lcm of its denominators first, which keeps
-    its roots.
+    These are the grid roots of their gcd: every value when it is zero, none
+    when it is 1.
     """
-    rows = [[0] * (poly.degree_in("b") + 1) for _ in range(poly.degree_in("bp") + 1)]
-    for coeff, eb, ebp in poly.integer_rows(("b", "bp"))[0]:
-        rows[ebp][eb] = coeff
-    return rows
+    common = univariate_gcd(*polys)
+    if common == [1]:
+        return []
+    scale = lcm(*(c.denominator for c in common))
+    ints = [c.numerator * (scale // c.denominator) for c in common]
+    # d^degree times the gcd at x = n/d, in ints
+    degree = len(ints) - 1
+    return [
+        x for x in grid
+        if not sum(c * x.numerator**i * x.denominator ** (degree - i) for i, c in enumerate(ints))
+    ]
 
 
-def _vanishing_locus(rho: Fraction, grid: list[Fraction]) -> set[tuple[Fraction, Fraction]]:
-    """Grid pairs (b, bp) at which the determinant vanishes identically.
+def _locus(rho: Fraction, s: Fraction, grid: list[Fraction]) -> set[tuple[Fraction, Fraction]]:
+    """Grid pairs (b, bp) at which the determinant vanishes identically in both slope orders.
 
-    That is L1 = 0, L2 = 0, or C1 = C2 = C3 = 0.  With rho and b fixed the
-    C's are univariate in bp, and their common roots are the roots of their gcd.
+    That is L1 = 0, L2 = 0, or C1 = C2 = C3 = 0.  Specialised at rho, each C
+    is one integer table in (b, bp); restricted to a line it is univariate,
+    and the common roots there are the grid roots of a gcd.  s = 1/2 scans
+    the lines b = n/d, one per grid value; s = 0 scans the diagonal bp = b.
     """
-    on_grid = set(grid)
-    specialized = [_rows_in_bp(c.substitute({"rho": rho})) for c in _coefficients()]
-    degree = max((len(row) for rows in specialized for row in rows), default=1) - 1
+    tables = [c.substitute({"rho": rho}).integer_rows(("b", "bp"))[0] for c in _coefficients()]
+    size = 1 + max((e for table in tables for _, *exps in table for e in exps), default=0)
     locus = set()
-    for b in grid:
-        # d^degree times each C at b = n/d, with integer coefficients in bp
-        n, d = b.numerator, b.denominator
-        powers = [n**i * d ** (degree - i) for i in range(degree + 1)]
-        common = univariate_gcd(
-            *([sum(map(mul, row, powers)) for row in rows] for rows in specialized)
-        )
-        if common != [1]:  # the zero gcd vanishes at every bp
-            locus.update((b, bp) for bp in grid if not univariate_value(common, bp))
-        for bp in (b - rho, b + 1 - rho):
-            if bp in on_grid:
-                locus.add((b, bp))
-    return locus
+    if s == 0:
+        # on bp = b the coefficient of b^e sums the entries with i + j = e,
+        # and L1 = rho, L2 = 1 - rho
+        diagonal = [[0] * (2 * size - 1) for _ in tables]
+        for coeffs, table in zip(diagonal, tables):
+            for c, i, j in table:
+                coeffs[i + j] += c
+        locus = {(b, b) for b in (grid if rho in (0, 1) else _grid_roots(diagonal, grid))}
+    else:
+        # each C as rows of b-coefficients, one row per power of bp
+        matrices = [[[0] * size for _ in range(size)] for _ in tables]
+        for matrix, table in zip(matrices, tables):
+            for c, i, j in table:
+                matrix[j][i] = c
+        on_grid = set(grid)
+        for b in grid:
+            # d^(size - 1) times each C at b = n/d, with integer coefficients in bp
+            n, d = b.numerator, b.denominator
+            powers = [n**i * d ** (size - 1 - i) for i in range(size)]
+            on_line = [[sum(map(mul, row, powers)) for row in matrix] for matrix in matrices]
+            locus.update((b, bp) for bp in _grid_roots(on_line, grid))
+            locus.update((b, bp) for bp in (b - rho, b + 1 - rho) if bp in on_grid)
+    return {(b, bp) for b, bp in locus if (bp, b) in locus}
 
 
-def _diagonal_locus(rho: Fraction, grid: list[Fraction]) -> set[Fraction]:
-    """Grid values b at which the determinant vanishes identically with bp = b.
-
-    On the diagonal L1 = rho and L2 = 1 - rho, so rho in {0, 1} frees b;
-    otherwise the hits are the grid roots of gcd(C1, C2, C3) at bp = b.
-    """
-    if rho in (0, 1):
-        return set(grid)
-    # each C at bp = b is one row in b, or no row when it vanishes there
-    on_diagonal = [c.substitute({"rho": rho, "bp": _B}) for c in _coefficients()]
-    common = univariate_gcd(*(row for c in on_diagonal for row in _rows_in_bp(c)))
-    return {b for b in grid if not univariate_value(common, b)}
+def _shown(s: Fraction, pair: tuple[Fraction, Fraction]):
+    """A scan pair (b, bp) as slope s shows it: b alone for s = 0, where bp = b."""
+    return pair[0] if s == 0 else pair
 
 
-def _line(relation: str, grid: Collection[Fraction]) -> set[tuple[Fraction, Fraction]]:
-    """Grid pairs on one s = 1/2 relation."""
-    on_grid = set(grid)
-    line = _RELATION_LINES[relation]
-    return {(b, line(b)) for b in grid if line(b) in on_grid}
+def _as_pair(s: Fraction, point) -> tuple[Fraction, Fraction]:
+    """The scan pair (b, bp) of a point shown for slope s."""
+    return (point, point) if s == 0 else point
 
 
 def enumerate_cases(s: Fraction | int, max_num: int, max_den: int) -> ScanResult:
     """Scan the rational grid for parameters meeting the vanishing conditions."""
     s = Fraction(s)
     grid = grid_values(max_num, max_den)
-    rho_grid = [r for r in grid if r != -1]
+    if s not in RELATIONS:
+        raise ParameterError("the scan is defined for s = 0 and s = 1/2 only")
+    on_grid = set(grid)
+    lines = {
+        relation: {(b, line(b)) for b in grid if line(b) in on_grid}
+        for relation, line in RELATIONS[s].items()
+    }
     cases: list[ClassificationCase] = []
     hits: list[tuple] = []
-    if s == HALF:
-        for rho in rho_grid:
-            locus = _vanishing_locus(rho, grid)
-            # the vanishing condition must hold in both slope orders
-            rho_hits = {(b, bp) for (b, bp) in locus if (bp, b) in locus}
-            hits.extend((rho, b, bp) for (b, bp) in sorted(rho_hits))
-            covered: set[tuple[Fraction, Fraction]] = set()
-            for relation in HALF_RELATIONS:
-                on_line = _line(relation, grid)
-                if on_line and on_line <= rho_hits:
-                    cases.append(
-                        ClassificationCase(
-                            rho=rho,
-                            relation=relation,
-                            points=(),
-                            satisfied_by=tuple(sorted(on_line)),
-                        )
-                    )
-                    covered |= on_line
-            leftover = sorted(rho_hits - covered)
-            if leftover:
+    for rho in grid:
+        if rho == -1:
+            continue
+        rho_hits = _locus(rho, s, grid)
+        hits.extend((rho, *pair[: 1 if s == 0 else 2]) for pair in sorted(rho_hits))
+        covered: set[tuple[Fraction, Fraction]] = set()
+        for relation, on_line in lines.items():
+            if on_line and on_line <= rho_hits:
                 cases.append(
                     ClassificationCase(
                         rho=rho,
-                        relation="points",
-                        points=tuple(leftover),
-                        satisfied_by=tuple(leftover),
-                    )
-                )
-    elif s == 0:
-        for rho in rho_grid:
-            rho_hits = _diagonal_locus(rho, grid)
-            hits.extend((rho, b) for b in sorted(rho_hits))
-            if rho_hits == set(grid):
-                cases.append(
-                    ClassificationCase(
-                        rho=rho,
-                        relation="b free",
+                        relation=relation,
                         points=(),
-                        satisfied_by=tuple(sorted(rho_hits)),
+                        satisfied_by=tuple(_shown(s, pair) for pair in sorted(on_line)),
                     )
                 )
-            elif rho_hits:
-                ordered = tuple(sorted(rho_hits))
-                cases.append(
-                    ClassificationCase(
-                        rho=rho, relation="points", points=ordered, satisfied_by=ordered
-                    )
-                )
-    else:
-        raise ParameterError("the scan is defined for s = 0 and s = 1/2 only")
-    cases.sort(key=ClassificationCase.sort_key)
+                covered |= on_line
+        leftover = tuple(_shown(s, pair) for pair in sorted(rho_hits - covered))
+        if leftover:
+            cases.append(
+                ClassificationCase(rho=rho, relation="points", points=leftover, satisfied_by=leftover)
+            )
     return ScanResult(
         s=s, max_num=max_num, max_den=max_den, cases=tuple(cases), hits=tuple(hits)
     )
@@ -455,78 +429,57 @@ def _family_text(rho: Fraction, relation: str) -> str:
 
 
 def _point_text(s: Fraction, rho: Fraction, point) -> str:
-    if s == HALF:
-        b, bp = point
-        return f"rho={format_rational(rho)}: point (b={format_rational(b)}, bp={format_rational(bp)})"
-    return f"rho={format_rational(rho)}: point b={format_rational(point)}"
+    if s == 0:
+        return f"rho={format_rational(rho)}: point b={format_rational(point)}"
+    b, bp = point
+    return f"rho={format_rational(rho)}: point (b={format_rational(b)}, bp={format_rational(bp)})"
 
 
 def compare_with_expected(result: ScanResult) -> dict[str, tuple[str, ...]]:
     """Match scan cases against the frozen expected list, bounds-aware."""
-    if result.s == HALF:
-        expected_families = EXPECTED_HALF_FAMILIES
-        expected_points = EXPECTED_HALF_POINTS
-    elif result.s == 0:
-        expected_families = EXPECTED_S0_FAMILIES
-        expected_points = EXPECTED_S0_POINTS
-    else:
+    if result.s not in RELATIONS:
         raise ParameterError("the scan is defined for s = 0 and s = 1/2 only")
-    grid = set(grid_values(result.max_num, result.max_den))
-    rho_grid = {r for r in grid if r != -1}
+    s, lines = result.s, RELATIONS[result.s]
+    expected_families, expected_points = _EXPECTED[s]
+    grid = grid_values(result.max_num, result.max_den)
+    on_grid = set(grid)
+    rho_grid = on_grid - {-1}
 
-    computed_families = {
-        (case.rho, case.relation) for case in result.cases if case.relation != "points"
-    }
-    computed_points = {
+    satisfied = {}
+    for case in result.cases:
+        satisfied.setdefault(case.rho, set()).update(case.satisfied_by)
+    families = [(case.rho, case.relation) for case in result.cases if case.relation != "points"]
+    points = [
         (case.rho, point)
         for case in result.cases
         if case.relation == "points"
         for point in case.points
-    }
-    satisfied = {}
-    for case in result.cases:
-        satisfied.setdefault(case.rho, set()).update(case.satisfied_by)
+    ]
 
     matched, missing, outside = [], [], []
     for rho, relation in expected_families:
-        if result.s == HALF:
-            in_bounds = rho in rho_grid and bool(_line(relation, grid))
-        else:
-            in_bounds = rho in rho_grid
-        if not in_bounds:
+        if rho not in rho_grid or not any(lines[relation](b) in on_grid for b in grid):
             outside.append(_family_text(rho, relation))
-        elif (rho, relation) in computed_families:
+        elif (rho, relation) in families:
             matched.append(_family_text(rho, relation))
         else:
             missing.append(_family_text(rho, relation))
     for rho, point in expected_points:
-        coords = point if result.s == HALF else (point,)
-        if rho not in rho_grid or any(x not in grid for x in coords):
-            outside.append(_point_text(result.s, rho, point))
-        elif point in satisfied.get(rho, set()) or (rho, point) in computed_points:
-            matched.append(_point_text(result.s, rho, point))
+        if rho not in rho_grid or not on_grid.issuperset(_as_pair(s, point)):
+            outside.append(_point_text(s, rho, point))
+        elif point in satisfied.get(rho, set()) or (rho, point) in points:
+            matched.append(_point_text(s, rho, point))
         else:
-            missing.append(_point_text(result.s, rho, point))
+            missing.append(_point_text(s, rho, point))
 
-    expected_family_set = set(expected_families)
-    expected_point_set = set(expected_points)
-    extra = []
-    for rho, relation in sorted(computed_families, key=lambda t: (t[0], _RELATION_RANK[t[1]])):
-        if (rho, relation) not in expected_family_set:
-            extra.append(_family_text(rho, relation))
-    for rho, point in sorted(computed_points):
-        if (rho, point) in expected_point_set:
-            continue
-        on_expected_family = False
-        for erho, erel in expected_families:
-            if erho != rho:
-                continue
-            if result.s == 0 and erel == "b free":
-                on_expected_family = True
-            elif result.s == HALF and point[1] == _RELATION_LINES[erel](point[0]):
-                on_expected_family = True
-        if not on_expected_family:
-            extra.append(_point_text(result.s, rho, point))
+    extra = [_family_text(*family) for family in families if family not in expected_families]
+    for rho, point in points:
+        b, bp = _as_pair(s, point)
+        on_expected_family = any(
+            erho == rho and bp == lines[erel](b) for erho, erel in expected_families
+        )
+        if (rho, point) not in expected_points and not on_expected_family:
+            extra.append(_point_text(s, rho, point))
 
     return {
         "matched": tuple(matched),

@@ -27,7 +27,7 @@ from .rationals import format_rational
 Rational = Fraction
 
 ALPHABET: tuple[str, ...] = ("a", "b", "bp", "rho", "p", "k", "m", "n", "c")
-_VAR_INDEX = {name: i for i, name in enumerate(ALPHABET)}
+_SLOT = {name: i for i, name in enumerate(ALPHABET)}
 _NVARS = len(ALPHABET)
 _ZERO_EXP = (0,) * _NVARS
 
@@ -192,21 +192,21 @@ class MultiPoly(Combination):
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        if name not in _VAR_INDEX:
+        if name not in _SLOT:
             raise ValueError(f"unknown variable {name!r}; alphabet is {ALPHABET}")
         exps = [0] * _NVARS
-        exps[_VAR_INDEX[name]] = 1
+        exps[_SLOT[name]] = 1
         return cls({tuple(exps): Fraction(1)})
 
     # -- basic queries ----------------------------------------------------
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of one variable; -1 for the zero polynomial."""
-        if name not in _VAR_INDEX:
+        if name not in _SLOT:
             raise ValueError(f"unknown variable {name!r}")
         if not self._terms:
             return -1
-        i = _VAR_INDEX[name]
+        i = _SLOT[name]
         return max(e[i] for e in self._terms)
 
     def variables(self) -> tuple[str, ...]:
@@ -309,9 +309,9 @@ class MultiPoly(Combination):
         """Exact value at a point; every variable that occurs must be assigned."""
         values: list[Fraction | None] = [None] * _NVARS
         for name, value in assignment.items():
-            if name not in _VAR_INDEX:
+            if name not in _SLOT:
                 raise ValueError(f"unknown variable {name!r}")
-            values[_VAR_INDEX[name]] = _as_fraction(value)
+            values[_SLOT[name]] = _as_fraction(value)
         total = Fraction(0)
         for exps, coeff in self._terms.items():
             term = coeff
@@ -342,12 +342,12 @@ class MultiPoly(Combination):
         scalars: dict[int, Fraction] = {}
         repl: dict[int, MultiPoly] = {}
         for name, image in images.items():
-            if name not in _VAR_INDEX:
+            if name not in _SLOT:
                 raise ValueError(f"unknown variable {name!r}")
             if isinstance(image, MultiPoly):
-                repl[_VAR_INDEX[name]] = image
+                repl[_SLOT[name]] = image
             else:
-                scalars[_VAR_INDEX[name]] = _as_fraction(image)
+                scalars[_SLOT[name]] = _as_fraction(image)
         # The images' product for each combination of replaced exponents, once;
         # each term shifts it by its kept monomial straight into the result.
         products: dict[tuple[int, ...], MultiPoly] = {}
@@ -470,14 +470,6 @@ def det3(matrix: Iterable[Iterable[MultiPoly]]) -> MultiPoly:
 # up; the zero polynomial is the empty list.
 
 
-def univariate_value(coeffs: Sequence[Scalar], x: Scalar) -> Fraction:
-    """Exact value at x by Horner's rule."""
-    total = Fraction(0)
-    for coeff in reversed(coeffs):
-        total = total * x + coeff
-    return total
-
-
 def _primitive(coeffs: Iterable[Scalar]) -> list[int]:
     """Integer multiple of the polynomial with coprime coefficients, trailing zeros dropped."""
     ints = list(coeffs)
@@ -560,10 +552,10 @@ def parse_poly(text: str) -> MultiPoly:
         exps = [0] * _NVARS
         for factor in factors:
             match = _FACTOR_RE.match(factor)
-            if not match or match.group(1) not in _VAR_INDEX:
+            if not match or match.group(1) not in _SLOT:
                 raise ValueError(f"malformed monomial factor {factor!r}")
             name, power = match.groups()
-            exps[_VAR_INDEX[name]] += int(power) if power else 1
+            exps[_SLOT[name]] += int(power) if power else 1
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return MultiPoly(terms)

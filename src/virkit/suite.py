@@ -33,7 +33,6 @@ from .modules import (
 )
 from .names import ONLY_GROUPS
 from .poly import MultiPoly, canonical_string
-from .rationals import format_rational
 
 HALF = Fraction(1, 2)
 

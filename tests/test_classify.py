@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from virkit import suite
+from virkit import classify, suite
 from virkit.classify import (
+    RELATIONS,
     ClassificationCase,
     build_functional_equation,
     build_linear_system,
@@ -34,7 +35,7 @@ from virkit.golden import (
     reference_delta3,
     reference_s0,
 )
-from virkit.poly import MultiPoly, canonical_string, parse_poly, poly_divrem
+from virkit.poly import ALPHABET, MultiPoly, canonical_string, parse_poly, poly_divrem
 
 DATA_DIR = Path(__file__).parent / "data" / DATA_VERSION
 
@@ -213,6 +214,44 @@ def test_certificate_divisibility_and_shape():
     cert = certify_factorization()
     assert cert.divisible
     assert cert.shape_ok
+
+
+def bucketed_coefficients(quotient):
+    """(C1, C2, C3) by bucketing the quotient's terms on their (a, p, k, m) exponents."""
+    slot = {name: i for i, name in enumerate(ALPHABET)}
+    buckets = {}
+    for exps, coeff in quotient.terms().items():
+        if exps[slot["n"]] or exps[slot["c"]]:
+            return False, (MultiPoly.zero(),) * 3
+        outer = tuple(exps[slot[name]] for name in ("a", "p", "k", "m"))
+        inner = list(exps)
+        for name in ("a", "p", "k", "m"):
+            inner[slot[name]] = 0
+        buckets.setdefault(outer, {})[tuple(inner)] = coeff
+    allowed = {(0, 0, 0, 2), (1, 1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 0)}
+    if not set(buckets) <= allowed:
+        return False, (MultiPoly.zero(),) * 3
+    c1 = MultiPoly(buckets.get((0, 0, 0, 2), {}))
+    c2_from_a = MultiPoly(buckets.get((1, 1, 0, 0), {}))
+    c2_from_k = MultiPoly(buckets.get((0, 1, 1, 0), {}))
+    c3 = MultiPoly(buckets.get((0, 2, 0, 0), {}))
+    if c2_from_a != c2_from_k:
+        return False, (MultiPoly.zero(),) * 3
+    return True, (c1, c2_from_a, c3)
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [MultiPoly.zero(), A * M, MultiPoly.var("n") * P**2, A * P * B, P**3],
+    ids=["none", "a*m", "n*p^2", "a*p-unlike-k*p", "p^3"],
+)
+def test_coefficient_extraction_equals_bucketing(monkeypatch, mutation):
+    _, quotient = classify._reduced_quotient()
+    mutated = quotient + mutation
+    monkeypatch.setattr(classify, "_reduced_quotient", lambda: (True, mutated))
+    extracted = classify._quadratic_coefficients.__wrapped__()
+    assert extracted == bucketed_coefficients(mutated)
+    assert extracted[0] == mutation.is_zero()
 
 
 def test_certificate_first_two_coefficients_match_reference():
@@ -421,6 +460,7 @@ def test_scan_hits_grow_with_bounds():
 
 
 def test_case_sorting_is_stable():
-    result = enumerate_cases(HALF, 4, 4)
-    keys = [case.sort_key() for case in result.cases]
-    assert keys == sorted(keys)
+    for s in (Fraction(0), HALF):
+        order = [*RELATIONS[s], "points"]
+        keys = [(case.rho, order.index(case.relation)) for case in enumerate_cases(s, 4, 4).cases]
+        assert keys == sorted(set(keys))

@@ -6,10 +6,13 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virkit.cli import REPORT_SCHEMA, build_parser, main, run_capture
 
@@ -441,3 +444,60 @@ WINDOW_16_OUTPUTS = {
 def test_window_16_cyclicity_output_is_byte_identical(line):
     code, text = run_capture(line.split())
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == WINDOW_16_OUTPUTS[line]
+
+
+# Exit code and sha256 of the rendered output of grid scans, captured while
+# s = 1/2 and s = 0 were still scanned by two separate loci.
+SCAN_OUTPUTS = {
+    "classify --s 1/2 --max-num 8 --max-den 8 --expect-paper --output json": (1, "d541ace9689ad2f5d8e38a7b3f9204893562e2e5ddea11429af51410bf270456"),
+    "classify --s 0 --max-num 16 --max-den 16 --expect-paper --output json": (0, "26a184f626e4de2cd7a87e6af959d570b995c8630b5fe6956c9de2a98aa60a87"),
+    "classify --s 1/2 --max-num 8 --max-den 3": (0, "d49479dc478aad16a7d159fa0832ecadf436df1326e62bead7236706be904def"),
+    "classify --s 0 --max-num 3 --max-den 8 --expect-paper": (0, "bbc2b74b441876cd4fbd36f2df50847d7510352804c20abdfac4e8f0639b38bc"),
+}
+
+
+@pytest.mark.parametrize("line", list(SCAN_OUTPUTS))
+def test_scan_output_is_byte_identical(line):
+    code, text = run_capture(line.split())
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == SCAN_OUTPUTS[line]
+
+
+# -- hostile classify argv ---------------------------------------------------
+
+HOSTILE_S = ("0", "1/2", "1/3", "-0", "2/4", "1/0", "1e5", "0x1", "9" * 1001, "")
+HOSTILE_BOUNDS = tuple(str(v) for v in range(-2, 7)) + ("17", str(10**9), "1.5", "2/1", "x", "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.sampled_from(HOSTILE_S),
+    max_num=st.sampled_from(HOSTILE_BOUNDS),
+    max_den=st.sampled_from(HOSTILE_BOUNDS),
+)
+def test_classify_refuses_exactly_the_hostile_argv(s, max_num, max_den):
+    from virkit.classify import MAX_GRID_BOUND
+    from virkit.errors import ParameterError
+    from virkit.rationals import parse_rational
+
+    try:
+        code, text = run_capture(["classify", "--s", s, "--max-num", max_num, "--max-den", max_den])
+    except SystemExit as exc:  # argparse refuses a bound that is not an int
+        code, text = exc.code, None
+    assert code in (0, 1, 2)
+
+    try:
+        num, den = int(max_num), int(max_den)
+    except ValueError:
+        assert (code, text) == (2, None)
+        return
+    try:
+        value = parse_rational(s)
+    except ParameterError as exc:
+        assert (code, text) == (2, f"error: {exc}\n")
+        return
+    bounds_ok = 0 <= num <= MAX_GRID_BOUND and 1 <= den <= MAX_GRID_BOUND
+    assert (code == 2) == (value not in (0, Fraction(1, 2)) or not bounds_ok)
+    if not bounds_ok:
+        assert text.startswith("error: grid bounds must ")
+    elif code == 2:
+        assert text == "error: the scan is defined for s = 0 and s = 1/2 only\n"

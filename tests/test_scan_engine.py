@@ -1,4 +1,4 @@
-"""Differential tests: the staged gcd scan against the point oracle."""
+"""Differential tests: the one locus engine against the point oracle."""
 
 from fractions import Fraction
 
@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from virkit.classify import (
     MAX_GRID_BOUND,
-    _diagonal_locus,
+    _locus,
     _vanishes_at,
-    _vanishing_locus,
     condition_pair_holds,
     enumerate_cases,
     grid_values,
@@ -40,9 +39,13 @@ def _rho_grid(grid):
     return [rho for rho in grid if rho != -1]
 
 
-@pytest.mark.parametrize("bound", [2, 3, 4])
-def test_half_scan_hits_equal_brute_force(bound):
-    grid = grid_values(bound, bound)
+# square bounds, and asymmetric ones where numerators and denominators differ
+BOUNDS = {"2": (2, 2), "3": (3, 3), "4": (4, 4), "8-3": (8, 3), "3-8": (3, 8)}
+
+
+@pytest.mark.parametrize("max_num, max_den", list(BOUNDS.values()), ids=list(BOUNDS))
+def test_half_scan_hits_equal_brute_force(max_num, max_den):
+    grid = grid_values(max_num, max_den)
     expected = tuple(
         (rho, b, bp)
         for rho in _rho_grid(grid)
@@ -50,16 +53,20 @@ def test_half_scan_hits_equal_brute_force(bound):
         for bp in grid
         if condition_pair_holds(rho, b, bp) == (True, True)
     )
-    assert enumerate_cases(HALF, bound, bound).hits == expected
+    assert enumerate_cases(HALF, max_num, max_den).hits == expected
+    located = {(rho, b, bp) for rho in _rho_grid(grid) for b, bp in _locus(rho, HALF, grid)}
+    assert located == set(expected)
 
 
-@pytest.mark.parametrize("bound", [2, 3, 4])
-def test_s0_scan_hits_equal_brute_force(bound):
-    grid = grid_values(bound, bound)
+@pytest.mark.parametrize("max_num, max_den", list(BOUNDS.values()), ids=list(BOUNDS))
+def test_s0_scan_hits_equal_brute_force(max_num, max_den):
+    grid = grid_values(max_num, max_den)
     expected = tuple(
         (rho, b) for rho in _rho_grid(grid) for b in grid if _vanishes_at(rho, b, b)
     )
-    assert enumerate_cases(0, bound, bound).hits == expected
+    assert enumerate_cases(0, max_num, max_den).hits == expected
+    located = {(rho, b, bp) for rho in _rho_grid(grid) for b, bp in _locus(rho, F(0), grid)}
+    assert located == {(rho, b, b) for rho, b in expected}
 
 
 def test_s0_scan_hits_are_frozen():
@@ -72,9 +79,10 @@ quarters = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 @given(rho=quarters, b=quarters, bp=quarters)
 def test_staged_membership_equals_point_oracle(rho, b, bp):
-    locus = _vanishing_locus(rho, sorted({b, bp}))
-    assert ((b, bp) in locus, (bp, b) in locus) == condition_pair_holds(rho, b, bp)
-    assert (b in _diagonal_locus(rho, [b])) == _vanishes_at(rho, b, b)
+    # the s = 1/2 locus keeps a pair only when its swap vanishes as well
+    locus = _locus(rho, HALF, sorted({b, bp}))
+    assert ((b, bp) in locus, (bp, b) in locus) == (all(condition_pair_holds(rho, b, bp)),) * 2
+    assert ((b, b) in _locus(rho, F(0), [b])) == _vanishes_at(rho, b, b)
 
 
 def test_grid_bound_is_enforced():
